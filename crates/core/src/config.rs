@@ -198,16 +198,26 @@ pub struct StrassenConfig {
 }
 
 impl StrassenConfig {
-    /// The paper's tuned default shape: Winograd variant, Auto schedule,
-    /// dynamic peeling, hybrid cutoff with placeholder parameters
-    /// (retune per machine with [`crate::tuning`]).
+    /// The paper's DGEFMM: Winograd variant, Auto schedule (STRASSEN1
+    /// for `β = 0`, STRASSEN2 otherwise), dynamic peeling, fused last
+    /// level, and the eq.-(15) hybrid cutoff with parameters *measured*
+    /// by the Section 3.4 procedure: τ = τm = τk = τn = 2048.
+    /// `crates/bench`'s `bench_quick` sweeps one level of recursion
+    /// against the serial 5-loop GEMM up to n = 2048; the committed
+    /// `BENCH_PR12.json` holds three such sweeps with the spread of every
+    /// point (AVX-512 host, 2 physical cores), and each parameter is
+    /// their median. On that host one level still loses at n = 2048
+    /// (0.88–0.96), so every product that eq. (15) does not send past
+    /// 2048 runs as one conventional GEMM, and a square n = 4096 product
+    /// recurses once. Remeasure on other machines with
+    /// [`crate::tuning`].
     pub fn dgefmm() -> Self {
         Self {
             variant: Variant::Winograd,
             scheme: Scheme::Auto,
             family: Family::F222,
             odd: OddHandling::DynamicPeeling,
-            cutoff: CutoffCriterion::Hybrid { tau: 64, tau_m: 32, tau_k: 32, tau_n: 32 },
+            cutoff: CutoffCriterion::Hybrid { tau: 2048, tau_m: 2048, tau_k: 2048, tau_n: 2048 },
             cutoff_general: None,
             // Machine-derived (mc, kc, nc): sysfs cache probe with sane
             // fallbacks, resolved once per process.

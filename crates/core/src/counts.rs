@@ -9,6 +9,7 @@
 //! the real implementation.
 
 use crate::config::{OddHandling, StrassenConfig, Variant};
+use crate::dispatch::is_leaf;
 use crate::workspace::{resolve_scheme, ResolvedScheme};
 
 /// Predicted execution profile for one `dgefmm` call.
@@ -104,7 +105,7 @@ fn predict_at(
     depth: usize,
 ) -> CallCounts {
     let mut out = CallCounts::default();
-    if depth >= cfg.max_depth || cfg.criterion_for(beta_zero).should_stop(m, k, n) {
+    if is_leaf(cfg, m, k, n, beta_zero, depth) {
         out.gemm_calls = 1;
         return out;
     }

@@ -18,7 +18,8 @@ use std::time::Instant;
 
 /// How many recursion levels (0, 1, or 2) to run through the fused
 /// add-pack / multi-destination kernels at this node.
-enum FusedSpan {
+#[derive(PartialEq, Eq)]
+pub(crate) enum FusedSpan {
     No,
     One,
     Two,
@@ -37,8 +38,9 @@ enum FusedSpan {
 /// problem shape — deliberately independent of `parallel_depth`, so a
 /// parallel run selects exactly the kernels its serial twin would and
 /// serial ≡ parallel stays bitwise (a fused leaf reached *inside* a
-/// parallel region simply runs inside its product task).
-fn fused_span(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> FusedSpan {
+/// parallel region simply runs inside its product task). Workspace sizing
+/// asks the same question: a fused node draws no arena space.
+pub(crate) fn fused_span(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> FusedSpan {
     if !cfg.fused || cfg.gemm.algo != GemmAlgo::Blocked || cfg.family != Family::F222 {
         return FusedSpan::No;
     }
@@ -72,6 +74,51 @@ fn fused_span(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) 
     FusedSpan::No
 }
 
+/// Does a node of this shape, `β` class and depth run as one
+/// conventional GEMM? The single stopping rule shared by the recursion,
+/// the root-leaf shortcut in [`dgefmm`], workspace sizing and the
+/// call-count model.
+pub(crate) fn is_leaf(
+    cfg: &StrassenConfig,
+    m: usize,
+    k: usize,
+    n: usize,
+    beta_zero: bool,
+    depth: usize,
+) -> bool {
+    depth >= cfg.max_depth || cfg.criterion_for(beta_zero).should_stop(m, k, n)
+}
+
+/// A recursion leaf: one conventional GEMM on `op(A)`, `op(B)`, reported
+/// to an installed probe with the criterion that stopped it.
+#[allow(clippy::too_many_arguments)]
+fn leaf_gemm<T: Scalar>(
+    cfg: &StrassenConfig,
+    alpha: T,
+    op_a: Op,
+    a: MatRef<'_, T>,
+    op_b: Op,
+    b: MatRef<'_, T>,
+    beta: T,
+    c: MatMut<'_, T>,
+    depth: usize,
+) {
+    if !trace::active() {
+        gemm(&cfg.gemm, alpha, op_a, a, op_b, b, beta, c);
+        return;
+    }
+    let (m, n) = (c.nrows(), c.ncols());
+    let k = op_a.dims(&a).1;
+    let beta_zero = beta == T::ZERO;
+    // Attribute the leaf to the criterion that fired (by paper equation
+    // number); only the depth limit can stop a node the criterion would
+    // have recursed.
+    let reason = cfg.criterion_for(beta_zero).stop_reason(m, k, n).unwrap_or(StopReason::MaxDepth);
+    let start = Instant::now();
+    gemm(&cfg.gemm, alpha, op_a, a, op_b, b, beta, c);
+    trace::leaf(depth, m, k, n, beta_zero, reason, start.elapsed().as_nanos() as u64);
+}
+
 /// The internal fast-matrix-multiply recursion:
 /// `C ← α A B + β C` with `op = NoTrans` on both operands.
 ///
@@ -98,18 +145,8 @@ pub(crate) fn fmm<T: Scalar>(
     // behind one thread-local read when no probe is installed.
     let _trace_node = trace::node_guard(depth, ws.len());
 
-    if depth >= cfg.max_depth || cfg.criterion_for(beta_zero).should_stop(m, k, n) {
-        if trace::active() {
-            // Attribute the leaf to the criterion that fired (by paper
-            // equation number); only the depth limit can stop a node the
-            // criterion would have recursed.
-            let reason = cfg.criterion_for(beta_zero).stop_reason(m, k, n).unwrap_or(StopReason::MaxDepth);
-            let start = Instant::now();
-            gemm(&cfg.gemm, alpha, Op::NoTrans, a, Op::NoTrans, b, beta, c);
-            trace::leaf(depth, m, k, n, beta_zero, reason, start.elapsed().as_nanos() as u64);
-        } else {
-            gemm(&cfg.gemm, alpha, Op::NoTrans, a, Op::NoTrans, b, beta, c);
-        }
+    if is_leaf(cfg, m, k, n, beta_zero, depth) {
+        leaf_gemm(cfg, alpha, Op::NoTrans, a, Op::NoTrans, b, beta, c, depth);
         return;
     }
 
@@ -222,7 +259,9 @@ fn materialize<'a: 't, 't, T: Scalar>(
 /// are materialized once at entry — the recursion itself always runs on
 /// plain views). The arena is grow-only and reused, so after the first
 /// call at a given problem size a thread performs no further heap
-/// allocation on this path. Use [`dgefmm_with_workspace`] for an
+/// allocation on this path. A problem the cutoff stops at the root runs
+/// as one conventional GEMM on the caller's `op(A)`/`op(B)`, with no
+/// staging and no arena. Use [`dgefmm_with_workspace`] for an
 /// explicitly caller-managed arena instead.
 ///
 /// # Example
@@ -268,31 +307,45 @@ pub fn dgefmm<T: Scalar>(
     assert_eq!(c.nrows(), m, "dgefmm: C has {} rows, expected {m}", c.nrows());
     assert_eq!(c.ncols(), n, "dgefmm: C has {} cols, expected {n}", c.ncols());
 
-    let a_extra = if op_a == Op::Trans { m * ka } else { 0 };
-    let b_extra = if op_b == Op::Trans { ka * n } else { 0 };
-    let ws_elems = required_workspace(cfg, m, ka, n, beta == T::ZERO);
+    let beta_zero = beta == T::ZERO;
     let call_timer = trace::active().then(Instant::now);
-    let staging_ns = with_tls_arena::<T, _>(ws_elems + a_extra + b_extra, |arena| {
-        let (a_buf, rest) = arena.split_at_mut(a_extra);
-        let (b_buf, ws) = rest.split_at_mut(b_extra);
-        let stage_timer = call_timer.map(|_| Instant::now());
-        let a_eff = stage_transposed(op_a, a, a_buf);
-        let b_eff = stage_transposed(op_b, b, b_buf);
-        let staging_ns = stage_timer.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        trace::call_start(m, ka, n, beta == T::ZERO, ws.len());
-        // Timeline bracket: Mark(arg=0/1) events bound the whole dgefmm
-        // call in the exported trace (the caller's lane). Pure
-        // observation — no effect on scheduling or arithmetic.
-        pool::ring::record(pool::ring::EventKind::Mark, 0, 0);
-        fmm(cfg, alpha, a_eff, b_eff, beta, c, ws, 0);
-        pool::ring::record(pool::ring::EventKind::Mark, 0, 1);
-        staging_ns
-    });
+    let staging_ns = if is_leaf(cfg, m, ka, n, beta_zero, 0) {
+        // The root will not recurse: the conventional kernel reads the
+        // caller's op(A)/op(B) in place, so there is nothing to stage and
+        // no arena to borrow (a leaf draws no workspace).
+        trace::call_start(m, ka, n, beta_zero, 0);
+        marked(|| leaf_gemm(cfg, alpha, op_a, a, op_b, b, beta, c, 0));
+        0
+    } else {
+        let a_extra = if op_a == Op::Trans { m * ka } else { 0 };
+        let b_extra = if op_b == Op::Trans { ka * n } else { 0 };
+        let ws_elems = required_workspace(cfg, m, ka, n, beta_zero);
+        with_tls_arena::<T, _>(ws_elems + a_extra + b_extra, |arena| {
+            let (a_buf, rest) = arena.split_at_mut(a_extra);
+            let (b_buf, ws) = rest.split_at_mut(b_extra);
+            let stage_timer = call_timer.map(|_| Instant::now());
+            let a_eff = stage_transposed(op_a, a, a_buf);
+            let b_eff = stage_transposed(op_b, b, b_buf);
+            let staging_ns = stage_timer.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            trace::call_start(m, ka, n, beta_zero, ws.len());
+            marked(|| fmm(cfg, alpha, a_eff, b_eff, beta, c, ws, 0));
+            staging_ns
+        })
+    };
     if let Some(timer) = call_timer {
         // Emitted after the arena is back in thread-local storage, so the
         // reported capacity includes any growth this call caused.
         trace::call_end(timer.elapsed().as_nanos() as u64, staging_ns, tls_arena_capacity_elements::<T>());
     }
+}
+
+/// Run one whole `dgefmm` call between timeline `Mark` events (arg 0/1),
+/// which bound it in the exported trace on the caller's lane. Pure
+/// observation — no effect on scheduling or arithmetic.
+fn marked(f: impl FnOnce()) {
+    pool::ring::record(pool::ring::EventKind::Mark, 0, 0);
+    f();
+    pool::ring::record(pool::ring::EventKind::Mark, 0, 1);
 }
 
 /// Return `op(x)` as a plain view, writing the transposed copy into

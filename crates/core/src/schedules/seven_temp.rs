@@ -494,8 +494,11 @@ mod tests {
     #[test]
     fn seven_temp_one_level_all_schedulers() {
         let _ = pool::set_num_threads(4);
-        let base =
-            StrassenConfig::dgefmm().scheme(Scheme::SevenTemp).cutoff(CutoffCriterion::Never).max_depth(1);
+        let base = StrassenConfig::dgefmm()
+            .scheme(Scheme::SevenTemp)
+            .cutoff(CutoffCriterion::Never)
+            .max_depth(1)
+            .fused(false);
         let (m, k, n) = (12, 8, 16);
         let a = random::uniform::<f64>(m, k, 1);
         let b = random::uniform::<f64>(k, n, 2);

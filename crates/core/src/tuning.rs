@@ -141,26 +141,31 @@ pub fn crossover_point(gemm_cfg: &GemmConfig, m: usize, k: usize, n: usize, reps
     let b = random::uniform::<f64>(k, n, 0x5eed_0002);
     let mut c = Matrix::<f64>::zeros(m, n);
 
-    let gemm_times = time_samples(reps, || {
-        gemm(gemm_cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
-    });
-
     let one = one_level_config(*gemm_cfg);
     let mut ws = Workspace::<f64>::for_problem(&one, m, k, n, true);
-    let mut strassen_rep = |ws: &mut Workspace<f64>| {
-        dgefmm_with_workspace(
-            &one,
-            1.0,
-            Op::NoTrans,
-            a.as_ref(),
-            Op::NoTrans,
-            b.as_ref(),
-            0.0,
-            c.as_mut(),
-            ws,
-        );
-    };
-    let strassen_times = time_samples(reps, || strassen_rep(&mut ws));
+    // The arms alternate rep by rep: near the crossover they differ by
+    // a few percent, less than a shared host's speed drifts over a run
+    // of reps, so timing one arm's reps after the other's would measure
+    // the drift.
+    let (mut gemm_times, mut strassen_times) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        gemm_times.extend(time_samples(1, || {
+            gemm(gemm_cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
+        }));
+        strassen_times.extend(time_samples(1, || {
+            dgefmm_with_workspace(
+                &one,
+                1.0,
+                Op::NoTrans,
+                a.as_ref(),
+                Op::NoTrans,
+                b.as_ref(),
+                0.0,
+                c.as_mut(),
+                &mut ws,
+            );
+        }));
+    }
 
     // One extra profiled rep for attribution only (its time never enters
     // the ratio). It runs the *classic* schedules: the fused kernels hide

@@ -9,6 +9,7 @@
 //! exercises that invariant across shapes and configurations.
 
 use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
+use crate::dispatch::{fused_span, is_leaf, FusedSpan};
 use crate::fastmm::Family;
 
 /// The schedule that will actually execute for a given `β` under a
@@ -107,11 +108,14 @@ fn evenized(cfg: &StrassenConfig, m: usize, k: usize, n: usize) -> (usize, usize
 /// Exact arena elements needed by `dgefmm` for an `(m, k, n)` product
 /// with the given configuration and `β` class.
 ///
-/// Mirrors the dispatch recursion: 0 below the cutoff, otherwise the
-/// current level's temporaries plus the worst-case requirement of its
-/// recursive sub-products (which all share, sequentially, the same tail
-/// of the arena — except [`Scheme::SevenTemp`] within `parallel_depth`,
-/// where the seven sub-products need *simultaneous* sub-arenas).
+/// Mirrors the dispatch recursion: 0 below the cutoff and at a level the
+/// fused kernels run (they pack operand sums straight into GEMM panels),
+/// otherwise the current level's temporaries plus the worst-case
+/// requirement of its recursive sub-products (which all share,
+/// sequentially, the same tail of the arena — except [`Scheme::SevenTemp`]
+/// within `parallel_depth`, where the seven sub-products need
+/// *simultaneous* sub-arenas). A peeled node needs exactly what its even
+/// core needs.
 pub fn required_workspace(cfg: &StrassenConfig, m: usize, k: usize, n: usize, beta_zero: bool) -> usize {
     required_at_depth(cfg, m, k, n, beta_zero, 0)
 }
@@ -124,7 +128,7 @@ fn required_at_depth(
     beta_zero: bool,
     depth: usize,
 ) -> usize {
-    if depth >= cfg.max_depth || cfg.criterion_for(beta_zero).should_stop(m, k, n) {
+    if is_leaf(cfg, m, k, n, beta_zero, depth) || fused_span(cfg, m, k, n, depth) != FusedSpan::No {
         return 0;
     }
     let scheme = resolve_scheme(cfg, beta_zero);
@@ -150,6 +154,12 @@ fn required_at_depth(
         );
     }
     let (me, ke, ne) = evenized(cfg, m, k, n);
+    let peeled = matches!(cfg.odd, OddHandling::DynamicPeeling | OddHandling::DynamicPeelingFirst);
+    if peeled && (me, ke, ne) != (m, k, n) {
+        // Peeling re-enters the recursion on the core at this same depth,
+        // where it may stop or fuse like any other node.
+        return required_at_depth(cfg, me, ke, ne, beta_zero, depth);
+    }
     let per = per_level_elements(scheme, me, ke, ne);
     let (dm, dk, dn) = family_units(cfg);
     let (m2, k2, n2) = (me / dm, ke / dk, ne / dn);

@@ -135,10 +135,13 @@ pub struct BucketTuning {
 }
 
 impl BucketTuning {
-    /// The paper's placeholder defaults (`StrassenConfig::dgefmm`'s
-    /// hybrid criterion), serial per request.
+    /// The shipped cutoff of [`StrassenConfig::dgefmm`], serial per
+    /// request.
     pub fn paper_default() -> BucketTuning {
-        BucketTuning { tau: 64, tau_m: 32, tau_k: 32, tau_n: 32, parallel_depth: 0 }
+        let CutoffCriterion::Hybrid { tau, tau_m, tau_k, tau_n } = StrassenConfig::dgefmm().cutoff else {
+            unreachable!("StrassenConfig::dgefmm ships the eq.-(15) hybrid criterion")
+        };
+        BucketTuning { tau, tau_m, tau_k, tau_n, parallel_depth: 0 }
     }
 
     /// The full DGEFMM configuration this tuning entry selects. A pure
@@ -146,9 +149,10 @@ impl BucketTuning {
     ///
     /// ```
     /// use serve::BucketTuning;
+    /// use strassen::StrassenConfig;
     ///
     /// let cfg = BucketTuning::paper_default().config();
-    /// assert!(cfg.cutoff.should_stop(64, 64, 64));
+    /// assert_eq!(cfg.cutoff, StrassenConfig::dgefmm().cutoff);
     /// assert_eq!(cfg.parallel_depth, 0);
     /// ```
     pub fn config(&self) -> StrassenConfig {

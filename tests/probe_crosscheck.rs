@@ -9,9 +9,12 @@
 //! the dispatcher and the Section 2 model (a miscounted pass, a wrong
 //! quadrant size, an extra copy) shows up as an off-by-`mn` failure here.
 //!
-//! All comparisons run with `fused(false)`: the model mirrors the classic
-//! temp-based schedules, and the fused kernels restructure the last level
-//! (see `strassen::counts::predict`).
+//! The flop and counter comparisons run with `fused(false)`: the model
+//! mirrors the classic temp-based schedules, and the fused kernels
+//! restructure the last level (see `strassen::counts::predict`). Two
+//! checks hold on the shipped path as well: workspace high-water equals
+//! the requirement with fusion on, and a call the cutoff stops at the
+//! root (one GEMM on the caller's operands) keeps every counter exact.
 
 use matrix::{random, Matrix};
 use opcount::memory::{strassen1_bound, strassen2_bound};
@@ -21,7 +24,8 @@ use opcount::recurrence::{
 };
 use strassen::cutoff::CutoffCriterion;
 use strassen::{
-    counts, dgefmm, required_workspace, trace, OddHandling, Scheme, StrassenConfig, Trace, Variant,
+    counts, dgefmm, planned_depth, required_workspace, trace, OddHandling, Scheme, StrassenConfig, Trace,
+    Variant,
 };
 
 use blas::Op;
@@ -216,6 +220,76 @@ fn high_water_auto_rectangular() {
         let tr = traced_run(&cfg, 96, 160, 64, beta);
         let need = required_workspace(&cfg, 96, 160, 64, beta_zero);
         assert_eq!(tr.ws_high_water, need, "beta={beta}");
+    }
+}
+
+/// With the fused last level on (the default), a fused node draws no
+/// workspace and the sizing knows it: high-water equals the requirement
+/// exactly — both β classes, one- and two-level fusion, a peeled odd
+/// shape whose even core recurses into fused levels, a rectangle, and a
+/// root that fuses outright (requirement 0) — and fusion never needs
+/// more than the classic schedules.
+#[test]
+fn high_water_fused_equals_requirement() {
+    let one = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Simple { tau: 16 });
+    let two = one.fused_levels(2);
+    let shapes = [(128usize, 128usize, 128usize), (256, 256, 256), (97, 97, 97), (96, 160, 64), (32, 32, 32)];
+    for cfg in [one, two] {
+        for (m, k, n) in shapes {
+            for (beta, beta_zero) in [(0.0, true), (1.0, false)] {
+                let label = format!("fused_levels={} ({m},{k},{n}) β={beta}", cfg.fused_levels);
+                let tr = traced_run(&cfg, m, k, n, beta);
+                let need = required_workspace(&cfg, m, k, n, beta_zero);
+                assert_eq!(tr.ws_high_water, need, "{label}: high-water != required_workspace");
+                assert_eq!(tr.ws_root, need, "{label}: arena offer != required_workspace");
+                assert!(need <= required_workspace(&cfg.fused(false), m, k, n, beta_zero), "{label}");
+            }
+        }
+        assert_eq!(required_workspace(&cfg, 32, 32, 32, true), 0, "a fused root draws nothing");
+    }
+    let classic = one.fused(false);
+    assert!(
+        required_workspace(&one, 256, 256, 256, true) < required_workspace(&classic, 256, 256, 256, true)
+    );
+}
+
+/// A call the cutoff stops at the root runs one GEMM on the caller's
+/// `op(A)`/`op(B)`. Under the shipped default, traced, it gives the same
+/// bits as untraced, matches the model counter for counter, stages
+/// nothing and is offered no workspace — for every op pair and both β
+/// classes.
+#[test]
+fn root_leaf_counters_are_exact() {
+    let cfg = StrassenConfig::dgefmm();
+    for (m, k, n) in [(64usize, 64usize, 64usize), (97, 130, 33), (300, 1500, 200)] {
+        assert_eq!(planned_depth(&cfg, m, k, n), 0, "({m},{k},{n}) must be a root leaf");
+        for op_a in [Op::NoTrans, Op::Trans] {
+            for op_b in [Op::NoTrans, Op::Trans] {
+                let a = match op_a {
+                    Op::NoTrans => random::uniform::<f64>(m, k, 11),
+                    Op::Trans => random::uniform::<f64>(k, m, 11),
+                };
+                let b = match op_b {
+                    Op::NoTrans => random::uniform::<f64>(k, n, 22),
+                    Op::Trans => random::uniform::<f64>(n, k, 22),
+                };
+                for beta in [0.0, 0.5] {
+                    let label = format!("({m},{k},{n}) {op_a:?}/{op_b:?} β={beta}");
+                    let c0 = random::uniform::<f64>(m, n, 33);
+                    let mut plain = c0.clone();
+                    dgefmm(&cfg, 1.0, op_a, a.as_ref(), op_b, b.as_ref(), beta, plain.as_mut());
+                    let mut c = c0.clone();
+                    let (_, tr) = trace::capture(|| {
+                        dgefmm(&cfg, 1.0, op_a, a.as_ref(), op_b, b.as_ref(), beta, c.as_mut());
+                    });
+                    assert_eq!(c.as_slice(), plain.as_slice(), "{label}: probe changed the numbers");
+                    assert_eq!(tr.calls, 1, "{label}");
+                    assert_eq!(tr.call_counts(), counts::predict(&cfg, m, k, n, beta == 0.0), "{label}");
+                    assert_eq!(tr.gemm_calls(), 1, "{label}");
+                    assert_eq!((tr.staging_ns, tr.ws_root, tr.ws_high_water), (0, 0, 0), "{label}");
+                }
+            }
+        }
     }
 }
 

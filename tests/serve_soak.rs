@@ -19,7 +19,7 @@
 
 use accuracy::draw_shape;
 use matrix::random;
-use serve::{Request, Server, ServerConfig, Ticket};
+use serve::{BucketKey, BucketTuning, MachineProfile, Request, Server, ServerConfig, Ticket, TuneCache};
 use strassen::workspace_elements;
 use testkit::Gen;
 
@@ -40,17 +40,24 @@ fn submit_shape(server: &Server, (m, k, n): (usize, usize, usize), g: &mut Gen) 
 #[test]
 fn sustained_load_is_arena_stable_starvation_free_and_drains() {
     let _ = pool::pin_once(4);
-    let server = Server::start(ServerConfig {
-        queue_capacity: 2 * PER_ROUND,
-        max_batch: 16,
-        ..ServerConfig::default()
-    });
     let mut g = Gen::new(SOAK_SEED, 1.0);
 
     // The whole campaign's shape list, drawn up front so the Table-1
     // arena ceiling — and the shape that attains it — are known before
     // any load runs.
     let campaign: Vec<Vec<(usize, usize, usize)>> = (0..ROUNDS).map(|_| shapes(PER_ROUND, &mut g)).collect();
+    // The shipped cutoff runs every shape this small as one GEMM; tune
+    // every bucket the stream hits to a small cutoff so requests recurse
+    // and draw on the arena.
+    let mut cache = TuneCache::new(MachineProfile::detect());
+    let tuned = BucketTuning { tau: 24, tau_m: 12, tau_k: 12, tau_n: 12, parallel_depth: 0 };
+    for &(m, k, n) in campaign.iter().flatten() {
+        cache.insert(BucketKey::classify(m, k, n), tuned);
+    }
+    let server = Server::start_with_cache(
+        ServerConfig { queue_capacity: 2 * PER_ROUND, max_batch: 16, ..ServerConfig::default() },
+        cache,
+    );
     let (mut ceiling, mut worst) = (0, (1, 1, 1));
     for &(m, k, n) in campaign.iter().flatten() {
         let need = workspace_elements(&server.config_for(m, k, n), m, k, n, true);
