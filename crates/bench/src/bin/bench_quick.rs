@@ -1,5 +1,5 @@
 //! Quick regression benchmark for the shipped DGEFMM default, the
-//! crossover sweep that measures it, and the serial-vs-parallel
+//! crossover sweeps that measure it, and the serial-vs-parallel
 //! scheduler headline.
 //!
 //! Thread count is pinned **up front** — `STRASSEN_THREADS` if set,
@@ -8,30 +8,42 @@
 //! size and `set_num_threads` can never hit its already-running error
 //! path mid-run.
 //!
-//! The crossover sweep (paper Section 3.4) measures the eq.-(15)
-//! parameters (τ, τm, τk, τn) against the serial 5-loop GEMM at
-//! n = 128 … 2048, three times; each parameter is the median over the
-//! sweeps. The reports, with the median and MAD of both arms at every
-//! point, are the evidence behind the constants of
-//! [`StrassenConfig::dgefmm`]. Measured targets, interleaved round-robin
-//! at each size:
+//! Two sweeps measure the constants the default ships:
 //!
-//! - the serial 5-loop `gemm_blocked` (reference floor),
+//! - **Fork threshold.** The pool-parallel 5-loop GEMM, forced to fork
+//!   at every size ([`gemm_parallel_always`]), against the serial one at
+//!   n = 64 … 384, alternating sample by sample (each sample about a
+//!   millisecond of calls). The crossover — the smallest n from which
+//!   forking wins at least three paired samples in four (lower quartile
+//!   of the speedup above 1) — is recorded with the quartiles of every
+//!   point; its cube is [`MIN_PARALLEL_FLOPS`].
+//! - **Strassen crossover** (paper Section 3.4). The eq.-(15) parameters
+//!   (τ, τm, τk, τn) against the 5-loop GEMM the default ships
+//!   ([`GemmConfig::auto_parallel`]) at n = 128 … 2048, three times; each
+//!   parameter is the median over the sweeps. The reports, with the
+//!   median and MAD of both arms at every point, are the evidence behind
+//!   the cutoff of [`StrassenConfig::dgefmm`].
+//!
+//! Measured targets, interleaved round-robin at each size:
+//!
+//! - the 5-loop GEMM the default ships, pool-parallel (reference floor —
+//!   so the default-vs-GEMM gate measures Strassen, not core count),
 //! - the shipped default, [`StrassenConfig::dgefmm`],
 //! - serial DGEFMM under this run's swept parameters (seven-temp
-//!   schedule, fused last level),
-//! - its parallel twin: task-DAG Strassen levels (`parallel_depth = 2`)
-//!   over pool-parallel leaf GEMMs (the nested jc×ic 5-loop nest).
+//!   schedule, fused last level, serial GEMM),
+//! - its parallel twin: task-DAG Strassen levels (`parallel_depth = 2`,
+//!   fusion off so the levels stay DAGs) over pool-parallel leaf GEMMs
+//!   (the nested jc×ic 5-loop nest).
 //!
 //! A dedicated serial-vs-parallel A/B at the largest size
 //! ([`strassen::tuning::measure_parallel_speedup`]) adds wall-clock
 //! speedup plus pool utilization over the parallel arm. Everything lands
-//! in `BENCH_PR12.json`.
+//! in `BENCH_PR14.json`.
 //!
 //! Regression gates (waivable with `BENCH_NO_GUARD=1`):
 //!
-//! - the shipped default ≥ 0.98× the 5-loop GEMM at every measured size
-//!   (median of the per-round paired ratios);
+//! - the shipped default ≥ 0.98× the pool-parallel 5-loop GEMM at every
+//!   measured size (median of the per-round paired ratios);
 //! - parallel DGEFMM ≥ 2.5× its serial wall clock at the largest size —
 //!   **enforced only when the host has ≥ 4 physical cores and the pool
 //!   got ≥ 4 workers**; a 1-core container cannot express the ratio, so
@@ -41,9 +53,10 @@
 //! - the probe contracts at n = 512 (noop ≤ 10%, timed ≤ 15% with noise
 //!   allowance).
 //!
-//! `BENCH_SMOKE=1` runs a fast functional pass — small sizes, no sweep
-//! (the swept targets reuse the shipped default), gates recorded but not
-//! enforced — and writes `BENCH_PR12.smoke.json` so CI can check the
+//! `BENCH_SMOKE=1` runs a fast functional pass — small sizes, a
+//! three-point fork sweep, no Strassen sweep (the swept targets reuse the
+//! shipped default), gates recorded but not enforced — and writes
+//! `BENCH_PR14.smoke.json` so CI can check the
 //! whole pipeline including the utilization plumbing (see
 //! `scripts/verify.sh`). Scale with the usual harness knobs:
 //! `BENCH_SAMPLES`, `BENCH_WARMUP_MS`, `BENCH_MEASURE_MS`.
@@ -54,7 +67,9 @@ use std::time::Instant;
 
 use bench::micro::Harness;
 use bench::stats::{quartiles, summarize, Summary};
-use blas::level3::{gemm_blocked, kernel_class, BlockingParams, CacheInfo};
+use blas::level3::{
+    gemm, gemm_blocked, gemm_parallel_always, kernel_class, BlockingParams, CacheInfo, MIN_PARALLEL_FLOPS,
+};
 use blas::{GemmConfig, Op};
 use matrix::{random, Matrix};
 use strassen::tuning::{
@@ -133,6 +148,65 @@ fn overhead_pair(h: &Harness, plain: &mut dyn FnMut(), probe: &mut dyn FnMut()) 
 /// Crossover sweeps per full run; each swept parameter is the median.
 const SWEEPS: usize = 3;
 
+/// One point of the fork-threshold sweep: paired per-round speedup
+/// quartiles of the forked GEMM over the serial one at `n³`.
+struct ForkPoint {
+    n: usize,
+    speedup: [f64; 3],
+    rounds: usize,
+}
+
+/// Calls per timed sample of the fork sweep at `n³`: a few milliseconds
+/// of serial work, so each sample averages the fork's costs (pushes,
+/// worker wake-ups, joins) over several calls instead of being dominated
+/// by timer and scheduler jitter on a single call.
+fn calls_per_sample(n: usize) -> usize {
+    (120_000_000 / n.pow(3)).max(1)
+}
+
+/// The fork-threshold sweep (module docs): forced-fork pool-parallel
+/// GEMM against the serial GEMM, the same blocking, alternating samples.
+fn fork_sweep(h: &Harness, sizes: &[usize]) -> Vec<ForkPoint> {
+    let serial = GemmConfig::auto();
+    let parallel = GemmConfig::auto_parallel();
+    sizes
+        .iter()
+        .map(|&n| {
+            let a = random::uniform::<f64>(n, n, 3);
+            let b = random::uniform::<f64>(n, n, 4);
+            let c = std::cell::RefCell::new(Matrix::<f64>::zeros(n, n));
+            let call = |cfg: &GemmConfig, forked: bool| {
+                let mut cm = c.borrow_mut();
+                for _ in 0..calls_per_sample(n) {
+                    let (a, b) = (black_box(a.as_ref()), black_box(b.as_ref()));
+                    if forked {
+                        gemm_parallel_always(cfg, 1.0, Op::NoTrans, a, Op::NoTrans, b, 0.0, cm.as_mut());
+                    } else {
+                        gemm_blocked(cfg, 1.0, Op::NoTrans, a, Op::NoTrans, b, 0.0, cm.as_mut());
+                    }
+                }
+            };
+            let mut f_serial = || call(&serial, false);
+            let mut f_forked = || call(&parallel, true);
+            let mut targets: [(&str, &mut dyn FnMut()); 2] =
+                [("serial", &mut f_serial), ("forked", &mut f_forked)];
+            let (_, samples, rounds) = bench_group(h, h.samples, &mut targets);
+            ForkPoint { n, speedup: paired_ratio_quartiles(&samples[0], &samples[1]), rounds }
+        })
+        .collect()
+}
+
+/// Smallest swept n from which forking wins in at least three paired
+/// samples of four (lower quartile of the speedup above 1) at every
+/// larger size, if any.
+fn fork_crossover(points: &[ForkPoint]) -> Option<usize> {
+    let losing = points.iter().rposition(|p| p.speedup[0] <= 1.0);
+    match losing {
+        None => points.first().map(|p| p.n),
+        Some(i) => points.get(i + 1).map(|p| p.n),
+    }
+}
+
 fn gflops(n: usize, ns: f64) -> f64 {
     2.0 * (n as f64).powi(3) / ns
 }
@@ -185,7 +259,9 @@ fn main() {
     // Machine profile: the runtime facts the auto blocking derives from.
     let cache = CacheInfo::detect();
     let bp = BlockingParams::auto_f64();
-    let gemm_cfg = GemmConfig::auto();
+    // The GEMM the shipped default runs: reference floor and the Strassen
+    // sweep's GEMM arm.
+    let gemm_cfg = GemmConfig::auto_parallel();
     println!(
         "machine: kernel {:?}, L1d {} KiB, L2 {} KiB, L3 {} KiB -> mc={} kc={} nc={}",
         kernel_class(),
@@ -197,8 +273,30 @@ fn main() {
         bp.nc
     );
 
+    // Fork-threshold sweep: where forking the GEMM's column loop starts
+    // to pay (module docs).
+    let fork_sizes: &[usize] =
+        if smoke { &[64, 128, 256] } else { &[64, 80, 96, 128, 160, 192, 224, 256, 320, 384] };
+    let fork_points = fork_sweep(&h, fork_sizes);
+    let crossover = fork_crossover(&fork_points);
+    let shipped_fork_n = (MIN_PARALLEL_FLOPS as f64).cbrt().round() as usize;
+    println!("fork-threshold sweep on {workers} workers (forked vs serial GEMM, paired quartiles):");
+    for p in &fork_points {
+        let [q1, med, q3] = p.speedup;
+        println!(
+            "  n={:<4} {med:.3}x [{q1:.3}-{q3:.3}] over {} rounds of {} calls",
+            p.n,
+            p.rounds,
+            calls_per_sample(p.n)
+        );
+    }
+    println!(
+        "fork crossover: {} (shipped MIN_PARALLEL_FLOPS = {shipped_fork_n}^3)",
+        crossover.map_or("none in the swept range".to_string(), |n| format!("n = {n}"))
+    );
+
     // Crossover sweep: measure the eq.-(15) hybrid cutoff parameters
-    // (τ, τm, τk, τn) against the serial 5-loop GEMM, far enough past the
+    // (τ, τm, τk, τn) against the shipped 5-loop GEMM, far enough past the
     // crossover to find it. Near the crossover one level and GEMM differ
     // by less than a shared host's run-to-run noise, so the sweep runs
     // several times and each parameter is the median over the runs. Smoke mode
@@ -245,14 +343,16 @@ fn main() {
         println!("median swept parameters: {:?} (shipped default: {:?})", p.criterion(), shipped.cutoff);
     }
     let tuned_cfg = swept.map_or(shipped, |p| p.config(gemm_cfg));
-    // The parallel twin: identical plan (same cutoff, same blocking, same
-    // fused policy — kernel selection is parallel-invariant), carried by
-    // the task-DAG scheduler with pool-parallel leaf GEMMs.
+    // The parallel twin: task-DAG Strassen levels over pool-parallel leaf
+    // GEMMs, at the same cutoff and blocking. Fusion is off so the top
+    // levels stay 21-node task DAGs — the scheduler this arm and the
+    // utilization gate measure; fused, the n = 4096 root would be one
+    // level split into column groups.
     let parallel_cfg =
-        tuned_cfg.scheme(Scheme::SevenTemp).parallel_depth(2).gemm(GemmConfig::auto_parallel());
-    let serial_cfg = tuned_cfg.scheme(Scheme::SevenTemp);
+        tuned_cfg.scheme(Scheme::SevenTemp).parallel_depth(2).gemm(GemmConfig::auto_parallel()).fused(false);
+    let serial_cfg = tuned_cfg.scheme(Scheme::SevenTemp).gemm(GemmConfig::auto());
 
-    let mut json = String::from("{\n  \"pr\": 12,\n");
+    let mut json = String::from("{\n  \"pr\": 14,\n");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"harness\": {{\"min_rounds\": {}}},", h.samples);
     let _ = writeln!(
@@ -272,6 +372,24 @@ fn main() {
         bp.kc,
         bp.nc
     );
+    let _ = write!(
+        json,
+        "  \"fork_threshold\": {{\"shipped_n\": {shipped_fork_n}, \"crossover_n\": {}, \"points\": [",
+        crossover.map_or("null".to_string(), |n| n.to_string())
+    );
+    for (i, p) in fork_points.iter().enumerate() {
+        let [q1, med, q3] = p.speedup;
+        let sep = if i > 0 { ", " } else { "" };
+        let _ = write!(
+            json,
+            "{sep}{{\"n\": {}, \"speedup\": {med:.4}, \"q1\": {q1:.4}, \"q3\": {q3:.4}, \"rounds\": {}, \
+             \"calls_per_sample\": {}}}",
+            p.n,
+            p.rounds,
+            calls_per_sample(p.n)
+        );
+    }
+    json.push_str("]},\n");
     json.push_str("  \"results\": [\n");
 
     let sizes: &[usize] = if smoke { &[256, 512] } else { &[256, 512, 1024, 2048, 4096] };
@@ -292,7 +410,7 @@ fn main() {
 
         let mut f_gemm = || {
             let mut cm = c.borrow_mut();
-            gemm_blocked(
+            gemm(
                 &gemm_cfg,
                 1.0,
                 Op::NoTrans,
@@ -488,11 +606,11 @@ fn main() {
 
     if smoke {
         // Smoke writes to its own artifact so a CI smoke pass can never
-        // clobber the committed full-run BENCH_PR12.json.
+        // clobber the committed full-run BENCH_PR14.json.
         println!("default dgefmm vs GEMM (recorded, not enforced): worst {worst_default:.4}x at n={worst_n}");
         json.push_str("  \"noop_probe_guard_512\": null,\n  \"timed_probe_guard_512\": null\n}\n");
-        std::fs::write("BENCH_PR12.smoke.json", &json).expect("write BENCH_PR12.smoke.json");
-        println!("wrote BENCH_PR12.smoke.json (smoke: guards recorded, not enforced)");
+        std::fs::write("BENCH_PR14.smoke.json", &json).expect("write BENCH_PR14.smoke.json");
+        println!("wrote BENCH_PR14.smoke.json (smoke: guards recorded, not enforced)");
         return;
     }
 
@@ -548,8 +666,8 @@ fn main() {
          \"timed_probe_guard_512\": {{\"classic\": {guard_timed_classic:.4}, \
          \"fused\": {guard_timed_fused:.4}}}\n}}\n"
     );
-    std::fs::write("BENCH_PR12.json", &json).expect("write BENCH_PR12.json");
-    println!("wrote BENCH_PR12.json");
+    std::fs::write("BENCH_PR14.json", &json).expect("write BENCH_PR14.json");
+    println!("wrote BENCH_PR14.json");
 
     // Perf regression gates (see module docs).
     enforce(&format!("default DGEFMM vs GEMM (worst at n={worst_n})"), worst_default, 0.98, true);
@@ -558,7 +676,7 @@ fn main() {
     } else {
         println!(
             "parallel speedup gate waived: {} physical cores / {} workers cannot express 2.5x \
-             (measured {:.3}x, recorded in BENCH_PR12.json)",
+             (measured {:.3}x, recorded in BENCH_PR14.json)",
             phys, sp.workers, sp.speedup
         );
     }

@@ -62,7 +62,8 @@
 use super::blocked::{clamp_blocking, pack_a, pack_b, panel_lens};
 use super::kernel::{microkernel, microkernel_x2, AccTile, MR, NR};
 use super::packbuf::{with_pack_bufs, with_pack_slab};
-use super::{scale_c, GemmConfig};
+use super::parallel::{fork, Balanced, MIN_PARALLEL_FLOPS};
+use super::{scale_c, GemmAlgo, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
 
@@ -621,6 +622,20 @@ fn combine_packed<T: Scalar>(dst: &mut [T], terms: &BlockTerms, slots: &[T], slo
     }
 }
 
+/// One column strip of `C` per grid block column (`bm·g` rows each);
+/// entries at `g..` are empty. A column group of the fused level owns
+/// the same columns of every strip.
+type Strips<'a, T> = [MatMut<'a, T>; MAX_GRID];
+
+/// Split every strip at column `w` (empty strips stay empty).
+fn split_strips<'a, T>(strips: Strips<'a, T>, w: usize) -> (Strips<'a, T>, Strips<'a, T>) {
+    let [(l0, r0), (l1, r1), (l2, r2), (l3, r3)] = strips.map(|s| {
+        let at = w.min(s.ncols());
+        s.split_cols(at)
+    });
+    ([l0, l1, l2, l3], [r0, r1, r2, r3])
+}
+
 /// Execute a whole fused block schedule — e.g. one Strassen recursion
 /// level — through a single 5-loop nest with **shared packed panels**:
 ///
@@ -638,6 +653,14 @@ fn combine_packed<T: Scalar>(dst: &mut [T], terms: &BlockTerms, slots: &[T], slo
 /// it — for Strassen's 7-product schedule that cuts B-packing traffic
 /// from 12 quadrant passes to 4 and A-packing from 12 to 4, and operand
 /// sums become cheap linear combinations of already-packed panels.
+///
+/// With the pool-parallel kernel ([`GemmAlgo::BlockedParallel`]) and at
+/// least [`MIN_PARALLEL_FLOPS`] of multiply work, the jc loop is split
+/// into balanced `NR`-quantized column groups, one per worker: each group
+/// runs the whole nest above over its own columns of every block, with
+/// its own pack slab, writing only its own columns. Every element still
+/// sees the same operation sequence, so the result is bitwise the serial
+/// one; serial is the one-group case of the same code.
 ///
 /// Semantics, for each product `p` in order:
 /// `C_q ← α δ_q (Σ γ A_blk)(Σ γ B_blk) + [β C_q]` where `β` applies on
@@ -714,107 +737,159 @@ pub fn gemm_fused_level<T: Scalar>(
     }
 
     let (mc, kc, nc) = clamp_blocking(cfg, bm, bk, bn);
-    let (a_len, b_len) = panel_lens(mc, kc, nc);
-    let ld = c.ld();
-    let cbase = c.as_mut_ptr();
+    let work = products.len().saturating_mul(bm).saturating_mul(bk).saturating_mul(bn);
+    let ways = if cfg.algo == GemmAlgo::BlockedParallel && work >= MIN_PARALLEL_FLOPS {
+        pool::current_num_threads()
+    } else {
+        1
+    };
+    let groups = Balanced::new(bn.div_ceil(NR), ways);
+    let col0 = |gi: usize| (groups.start(gi) * NR).min(bn);
 
-    with_pack_slab::<T, _>((g2 + 1) * (a_len + b_len), |slab| {
-        // Slab layout: one pack slot per grid block plus one combination
-        // buffer, for A then B.
-        let (a_region, b_region) = slab.split_at_mut((g2 + 1) * a_len);
-        let (a_slots, comb_a) = a_region.split_at_mut(g2 * a_len);
-        let (b_slots, comb_b) = b_region.split_at_mut(g2 * b_len);
+    let mut rest = c;
+    let strips: Strips<'_, T> = std::array::from_fn(|bc| {
+        let strip = std::mem::replace(&mut rest, MatMut::from_slice(&mut [], 0, 0, 1));
+        if bc + 1 < g {
+            let (head, tail) = strip.split_cols(bn);
+            rest = tail;
+            head
+        } else {
+            strip
+        }
+    });
+    let level = FusedLevel { alpha, beta, a, b, products, first_touch, g, bm, bk, bn, mc, kc, nc };
+    fork(0, 0, groups.parts(), strips, &|s, lo, mid| split_strips(s, col0(mid) - col0(lo)), &|gi, s| {
+        level.column_group(col0(gi), s)
+    });
+}
 
-        for jc in (0..bn).step_by(nc) {
-            let nb = nc.min(bn - jc);
-            for pc in (0..bk).step_by(kc) {
-                let kb = kc.min(bk - pc);
-                // Which block slots hold current data for this cache block.
-                let mut b_valid = [false; MAX_GRID_BLOCKS];
-                let b_used = nb.div_ceil(NR) * NR * kb;
-                for ic in (0..bm).step_by(mc) {
-                    let mb = mc.min(bm - ic);
-                    let mut a_valid = [false; MAX_GRID_BLOCKS];
-                    let a_used = mb.div_ceil(MR) * MR * kb;
-                    for (pi, p) in products.iter().enumerate() {
-                        // Lazily pack the grid blocks this product needs;
-                        // later products reuse them.
-                        for (_, q) in p.a.iter() {
-                            let q = q as usize;
-                            if !a_valid[q] {
-                                let blk = a.submatrix((q / g) * bm, (q % g) * bk, bm, bk);
-                                let slot = &mut a_slots[q * a_len..q * a_len + a_used];
-                                pack_a(Op::NoTrans, &blk, ic, pc, mb, kb, slot);
-                                a_valid[q] = true;
+/// The loop-invariant state of one [`gemm_fused_level`] call, shared by
+/// its column groups.
+struct FusedLevel<'a, T> {
+    alpha: T,
+    beta: T,
+    a: MatRef<'a, T>,
+    b: MatRef<'a, T>,
+    products: &'a [BlockProduct],
+    first_touch: [usize; MAX_GRID_BLOCKS],
+    g: usize,
+    bm: usize,
+    bk: usize,
+    bn: usize,
+    mc: usize,
+    kc: usize,
+    nc: usize,
+}
+
+impl<T: Scalar> FusedLevel<'_, T> {
+    /// The whole jc/pc/ic nest over block columns `j0 .. j0 + w` of every
+    /// grid block, where `w` is the strips' width.
+    fn column_group(&self, j0: usize, mut strips: Strips<'_, T>) {
+        let &FusedLevel { alpha, beta, a, b, products, first_touch, g, bm, bk, bn, mc, kc, nc } = self;
+        let g2 = g * g;
+        let w = strips[0].ncols();
+        // A narrower group leases a narrower B panel; the one-group case
+        // is exactly the serial requirement (`fused_level_pack_elements`).
+        let nc = nc.min(w.next_multiple_of(NR));
+        let (a_len, b_len) = panel_lens(mc, kc, nc);
+        let ld = strips[0].ld();
+        let bases: [*mut T; MAX_GRID] = std::array::from_fn(|bc| strips[bc].as_mut_ptr());
+
+        with_pack_slab::<T, _>((g2 + 1) * (a_len + b_len), |slab| {
+            // Slab layout: one pack slot per grid block plus one
+            // combination buffer, for A then B.
+            let (a_region, b_region) = slab.split_at_mut((g2 + 1) * a_len);
+            let (a_slots, comb_a) = a_region.split_at_mut(g2 * a_len);
+            let (b_slots, comb_b) = b_region.split_at_mut(g2 * b_len);
+
+            for jc in (0..w).step_by(nc) {
+                let nb = nc.min(w - jc);
+                for pc in (0..bk).step_by(kc) {
+                    let kb = kc.min(bk - pc);
+                    // Which block slots hold current data for this cache block.
+                    let mut b_valid = [false; MAX_GRID_BLOCKS];
+                    let b_used = nb.div_ceil(NR) * NR * kb;
+                    for ic in (0..bm).step_by(mc) {
+                        let mb = mc.min(bm - ic);
+                        let mut a_valid = [false; MAX_GRID_BLOCKS];
+                        let a_used = mb.div_ceil(MR) * MR * kb;
+                        for (pi, p) in products.iter().enumerate() {
+                            // Lazily pack the grid blocks this product
+                            // needs; later products reuse them.
+                            for (_, q) in p.a.iter() {
+                                let q = q as usize;
+                                if !a_valid[q] {
+                                    let blk = a.submatrix((q / g) * bm, (q % g) * bk, bm, bk);
+                                    let slot = &mut a_slots[q * a_len..q * a_len + a_used];
+                                    pack_a(Op::NoTrans, &blk, ic, pc, mb, kb, slot);
+                                    a_valid[q] = true;
+                                }
                             }
-                        }
-                        for (_, q) in p.b.iter() {
-                            let q = q as usize;
-                            if !b_valid[q] {
-                                let blk = b.submatrix((q / g) * bk, (q % g) * bn, bk, bn);
-                                let slot = &mut b_slots[q * b_len..q * b_len + b_used];
-                                pack_b(Op::NoTrans, &blk, pc, jc, kb, nb, slot);
-                                b_valid[q] = true;
+                            for (_, q) in p.b.iter() {
+                                let q = q as usize;
+                                if !b_valid[q] {
+                                    let blk = b.submatrix((q / g) * bk, (q % g) * bn, bk, bn);
+                                    let slot = &mut b_slots[q * b_len..q * b_len + b_used];
+                                    pack_b(Op::NoTrans, &blk, pc, j0 + jc, kb, nb, slot);
+                                    b_valid[q] = true;
+                                }
                             }
-                        }
-                        // Operand sums as combinations of packed panels; a
-                        // bare `+X_q` term borrows the slot directly.
-                        let pa: &[T] = if p.a.len == 1 && p.a.t[0].0 == 1 {
-                            let q = p.a.t[0].1 as usize;
-                            &a_slots[q * a_len..q * a_len + a_used]
-                        } else {
-                            combine_packed(&mut comb_a[..a_used], &p.a, a_slots, a_len);
-                            &comb_a[..a_used]
-                        };
-                        let pb: &[T] = if p.b.len == 1 && p.b.t[0].0 == 1 {
-                            let q = p.b.t[0].1 as usize;
-                            &b_slots[q * b_len..q * b_len + b_used]
-                        } else {
-                            combine_packed(&mut comb_b[..b_used], &p.b, b_slots, b_len);
-                            &comb_b[..b_used]
-                        };
-
-                        let mut coeffs = [T::ZERO; MAX_DESTS];
-                        for (slot, (dl, _)) in coeffs.iter_mut().zip(p.c.iter()) {
-                            *slot = alpha * T::from_f64(dl as f64);
-                        }
-                        let mk = |t: usize| {
-                            let (dl, q) = p.c.t[t];
-                            let q = q as usize;
-                            // SAFETY: grid blocks are disjoint, a product
-                            // never lists the same block twice (checked
-                            // above), and the parent view `c` is dormant
-                            // while the block views are live.
-                            let view = unsafe {
-                                MatMut::from_raw_parts(
-                                    cbase.add((q / g) * bm + (q % g) * bn * ld),
-                                    bm,
-                                    bn,
-                                    ld,
-                                )
-                            };
-                            let delta = T::from_f64(dl as f64);
-                            if pc == 0 && first_touch[q] == pi {
-                                DestSpec::init(view, delta, beta)
+                            // Operand sums as combinations of packed
+                            // panels; a bare `+X_q` term borrows the slot.
+                            let pa: &[T] = if p.a.len == 1 && p.a.t[0].0 == 1 {
+                                let q = p.a.t[0].1 as usize;
+                                &a_slots[q * a_len..q * a_len + a_used]
                             } else {
-                                DestSpec::update(view, delta)
+                                combine_packed(&mut comb_a[..a_used], &p.a, a_slots, a_len);
+                                &comb_a[..a_used]
+                            };
+                            let pb: &[T] = if p.b.len == 1 && p.b.t[0].0 == 1 {
+                                let q = p.b.t[0].1 as usize;
+                                &b_slots[q * b_len..q * b_len + b_used]
+                            } else {
+                                combine_packed(&mut comb_b[..b_used], &p.b, b_slots, b_len);
+                                &comb_b[..b_used]
+                            };
+
+                            let mut coeffs = [T::ZERO; MAX_DESTS];
+                            for (slot, (dl, _)) in coeffs.iter_mut().zip(p.c.iter()) {
+                                *slot = alpha * T::from_f64(dl as f64);
                             }
-                        };
-                        let lc = p.c.len as usize;
-                        let run = |dests: &mut [DestSpec<'_, T>]| {
-                            macrokernel_multi(mb, kb, nb, pa, pb, dests, &coeffs[..lc], ic, jc, true);
-                        };
-                        match lc {
-                            1 => run(&mut [mk(0)]),
-                            2 => run(&mut [mk(0), mk(1)]),
-                            3 => run(&mut [mk(0), mk(1), mk(2)]),
-                            _ => run(&mut [mk(0), mk(1), mk(2), mk(3)]),
+                            let mk = |t: usize| {
+                                let (dl, q) = p.c.t[t];
+                                let q = q as usize;
+                                // SAFETY: block `q`'s rows of this group's
+                                // strip for block column `q % g`. Grid
+                                // blocks are disjoint, a product never
+                                // lists the same block twice (checked
+                                // above), and the strips are dormant while
+                                // the block views are live.
+                                let view = unsafe {
+                                    MatMut::from_raw_parts(bases[q % g].add((q / g) * bm), bm, w, ld)
+                                };
+                                let delta = T::from_f64(dl as f64);
+                                if pc == 0 && first_touch[q] == pi {
+                                    DestSpec::init(view, delta, beta)
+                                } else {
+                                    DestSpec::update(view, delta)
+                                }
+                            };
+                            let lc = p.c.len as usize;
+                            let run = |dests: &mut [DestSpec<'_, T>]| {
+                                macrokernel_multi(mb, kb, nb, pa, pb, dests, &coeffs[..lc], ic, jc, true);
+                            };
+                            match lc {
+                                1 => run(&mut [mk(0)]),
+                                2 => run(&mut [mk(0), mk(1)]),
+                                3 => run(&mut [mk(0), mk(1), mk(2)]),
+                                _ => run(&mut [mk(0), mk(1), mk(2), mk(3)]),
+                            }
                         }
                     }
                 }
             }
-        }
-    });
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1040,6 +1115,56 @@ mod tests {
         assert_eq!(c.at(7, 7), 1.0);
         assert_eq!(c.at(0, 7), 1.0);
         assert_eq!(c.at(7, 0), 1.0);
+    }
+
+    #[test]
+    fn fused_level_parallel_is_bitwise_serial() {
+        let _ = pool::set_num_threads(4);
+        let workers = pool::current_num_threads();
+        let t = BlockTerms::new;
+        // Touches C blocks 0 and 2 only: blocks 1 and 3 get pure β.
+        let partial = [
+            BlockProduct { a: t(&[(1, 0)]), b: t(&[(1, 0)]), c: t(&[(1, 0)]) },
+            BlockProduct { a: t(&[(1, 1)]), b: t(&[(1, 2)]), c: t(&[(1, 0), (-1, 2)]) },
+            BlockProduct { a: t(&[(1, 2), (1, 3)]), b: t(&[(1, 0), (-1, 2)]), c: t(&[(1, 2)]) },
+            BlockProduct { a: t(&[(1, 3)]), b: t(&[(1, 2)]), c: t(&[(1, 2)]) },
+        ];
+        let full = strassen_table();
+        let (serial, parallel) = (GemmConfig::blocked(), GemmConfig::parallel());
+        // Block widths 61 and 73 are not multiples of NR·workers, so the
+        // column groups are uneven and the last one ends in a partial tile.
+        for (m, k, n) in [(264usize, 264usize, 122usize), (270, 266, 146)] {
+            let (bm, bk, bn) = (m / 2, k / 2, n / 2);
+            assert_ne!(bn % (NR * workers), 0);
+            let a = random::uniform::<f64>(m, k, 61);
+            let b = random::uniform::<f64>(k, n, 62);
+            for (table, label) in [(&full[..], "strassen"), (&partial[..], "partial")] {
+                assert!(table.len() * bm * bk * bn >= MIN_PARALLEL_FLOPS, "{label}: must fork");
+                for beta in [0.0, 0.5] {
+                    // β = 0 must overwrite NaN without reading it.
+                    let c0 = if beta == 0.0 {
+                        Matrix::from_fn(m, n, |_, _| f64::NAN)
+                    } else {
+                        random::uniform::<f64>(m, n, 63)
+                    };
+                    let mut want = c0.clone();
+                    let mut got = c0.clone();
+                    gemm_fused_level(&serial, 1.5, a.as_ref(), b.as_ref(), beta, want.as_mut(), table, 2);
+                    gemm_fused_level(&parallel, 1.5, a.as_ref(), b.as_ref(), beta, got.as_mut(), table, 2);
+                    let ctx = format!("{label} {m}x{k}x{n} β={beta} on {workers} workers");
+                    assert!(want.as_slice().iter().all(|x| x.is_finite()), "{ctx}: NaN survived");
+                    let bits = |c: &Matrix<f64>| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{ctx}: parallel differs from serial");
+                    if label == "partial" {
+                        // Untouched blocks 1 and 3 (the right half): β·C,
+                        // with β = 0 clearing NaN.
+                        let scaled = |i, j| if beta == 0.0 { 0.0 } else { beta * c0.at(i, j) };
+                        assert_eq!(got.at(0, n - 1), scaled(0, n - 1), "{ctx}");
+                        assert_eq!(got.at(m - 1, bn), scaled(m - 1, bn), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub use fused::{gemm_fused, gemm_fused_level, BlockProduct, BlockTerms, DestSpec
 pub use kernel::{kernel_class, KernelClass, MR, NR};
 pub use naive::gemm_naive;
 pub use packbuf::pack_buf_capacity_words;
-pub use parallel::gemm_parallel;
+pub use parallel::{gemm_parallel, gemm_parallel_always, MIN_PARALLEL_FLOPS};
 pub use params::{BlockingParams, CacheInfo};
 pub use symm::symm;
 pub use syrk::{symmetrize_from, syrk, Uplo};
@@ -42,7 +42,7 @@ pub enum GemmAlgo {
     /// Cache-blocked, packing, register-tiled kernel (default).
     Blocked,
     /// [`GemmAlgo::Blocked`] parallelized over column panels on the
-    /// in-tree thread pool.
+    /// in-tree thread pool (serial below [`MIN_PARALLEL_FLOPS`]).
     BlockedParallel,
 }
 
@@ -77,8 +77,8 @@ impl GemmConfig {
 
     /// Blocked kernel with `(mc, kc, nc)` derived from this machine's
     /// cache hierarchy (sysfs probe with fallbacks, cached per process) —
-    /// see [`params::BlockingParams`]. This is what
-    /// `StrassenConfig::dgefmm` uses.
+    /// see [`params::BlockingParams`]. The serial reference for
+    /// [`GemmConfig::auto_parallel`].
     pub fn auto() -> Self {
         let p = params::BlockingParams::auto_f64();
         Self { algo: GemmAlgo::Blocked, mc: p.mc, kc: p.kc, nc: p.nc }
@@ -88,8 +88,9 @@ impl GemmConfig {
     /// machine-derived `(mc, kc, nc)` — and therefore bitwise-identical
     /// results, since the parallel nest only re-partitions the serial
     /// loop order (see [`gemm_parallel`]) — but the jc/ic loops fan out
-    /// over the worker pool. This is what
-    /// `StrassenConfig::dgefmm_parallel` uses for its leaf products.
+    /// over the worker pool once a product reaches
+    /// [`MIN_PARALLEL_FLOPS`]. This is what `StrassenConfig::dgefmm`
+    /// ships.
     pub fn auto_parallel() -> Self {
         Self { algo: GemmAlgo::BlockedParallel, ..Self::auto() }
     }

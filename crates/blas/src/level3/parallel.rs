@@ -5,8 +5,8 @@
 //! partitions its loops across threads:
 //!
 //! - **jc (column groups).** `n` is carved into `jc_ways` balanced,
-//!   `NR`-quantized column groups — one task each. Every group owns its
-//!   columns of `C` and `B` outright, so groups never synchronize.
+//!   `NR`-quantized column groups. Every group owns its columns of `C`
+//!   and `B` outright, so groups never synchronize.
 //! - **ic (row blocks).** Workers left over after the jc split
 //!   (`ic_ways = threads / jc_ways`, the narrow-`n` regime where column
 //!   groups alone cannot fill the machine) cooperate *inside* each
@@ -16,12 +16,14 @@
 //!   sharing the packed `B` read-only — the Goto/BLIS recipe (pack `B`
 //!   once per (jc, pc), many `A` packers against it).
 //!
-//! The split is *balanced by quanta* ([`balanced_quanta`]): `ways`
-//! partitions differ by at most one `NR` (or `MR`) quantum and every
-//! partition is non-empty, so a tiny `n` with many threads can no longer
-//! produce zero-work panels next to idle workers (the pre-PR-7 clamp
-//! `nc = min(nc, ⌈n/threads⌉ rounded to NR)` could strand a 1-column
-//! panel while a worker sat idle).
+//! The split is *balanced by quanta* ([`Balanced`]): partitions differ by
+//! at most one `NR` (or `MR`) quantum and every partition is non-empty,
+//! so a tiny `n` with many threads never produces zero-work panels next
+//! to idle workers. Partitions run through [`fork`]: a recursive
+//! [`pool::join`] that halves the partition range and the matching
+//! views of `C`, with partition bounds worked out arithmetically. The
+//! joins keep their closures in the callers' stack frames, so a warm
+//! parallel GEMM allocates nothing on the calling thread.
 //!
 //! **Determinism contract.** Every element of `C` is produced by the
 //! same floating-point operation sequence as [`gemm_blocked`] with the
@@ -41,26 +43,94 @@ use super::{check_gemm_dims, scale_c, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
 
-/// Split `quanta` indivisible work units over at most `ways` partitions:
-/// returns per-partition quanta counts, all ≥ 1, differing by ≤ 1.
-/// Returns fewer than `ways` entries when there aren't enough quanta to
-/// give every partition one — never a zero-work partition.
-pub(crate) fn balanced_quanta(quanta: usize, ways: usize) -> Vec<usize> {
-    let p = ways.min(quanta).max(1);
-    if quanta == 0 {
-        return Vec::new();
-    }
-    let base = quanta / p;
-    let extra = quanta % p;
-    (0..p).map(|g| base + usize::from(g < extra)).collect()
+/// `quanta` indivisible work units split over at most `ways` partitions:
+/// every partition is non-empty and sizes differ by at most one (the
+/// first `quanta % parts` partitions take the extra unit). Fewer than
+/// `ways` partitions when there are not enough quanta to give each one.
+/// Bounds are computed, not stored, so a split allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Balanced {
+    parts: usize,
+    base: usize,
+    extra: usize,
 }
 
-/// Below this flop count the spawn/scope overhead outweighs any
-/// parallel gain; run the serial kernel instead. (≈ a 64³ product.)
-const MIN_PARALLEL_FLOPS: usize = 64 * 64 * 64;
+impl Balanced {
+    pub(crate) fn new(quanta: usize, ways: usize) -> Self {
+        let parts = if quanta == 0 { 0 } else { ways.clamp(1, quanta) };
+        let p = parts.max(1);
+        Balanced { parts, base: quanta / p, extra: quanta % p }
+    }
 
-/// `C ← α op(A) op(B) + β C`, jc×ic loops processed in parallel.
+    /// Number of partitions.
+    pub(crate) fn parts(&self) -> usize {
+        self.parts
+    }
+
+    /// First quantum of partition `g`; `start(parts())` is the total.
+    pub(crate) fn start(&self, g: usize) -> usize {
+        g * self.base + g.min(self.extra)
+    }
+}
+
+/// Run `f(g, part)` for every partition `g` in `lo..hi`, forking by
+/// recursive [`pool::join_tagged`]. `split(part, lo, mid)` cuts the part
+/// covering `lo..hi` into the parts covering `lo..mid` and `mid..hi`.
+/// The forking thread runs the first half itself; the queued half
+/// carries the timeline tag `gemm_task(role, mid)`. One partition is a
+/// plain call, so the serial path is the same code.
+pub(crate) fn fork<P: Send>(
+    role: u8,
+    lo: usize,
+    hi: usize,
+    part: P,
+    split: &(impl Fn(P, usize, usize) -> (P, P) + Sync),
+    f: &(impl Fn(usize, P) + Sync),
+) {
+    if hi - lo <= 1 {
+        return f(lo, part);
+    }
+    let mid = lo + (hi - lo).div_ceil(2);
+    let (left, right) = split(part, lo, mid);
+    // Timeline tags (see pool::ring::tag) let the trace exporter name the
+    // GEMM task roles; they never affect scheduling.
+    let tag = pool::ring::tag::gemm_task(role, mid as u8);
+    pool::join_tagged(tag, || fork(role, lo, mid, left, split, f), || fork(role, mid, hi, right, split, f));
+}
+
+/// Below this `m·k·n` the fork costs more than the second core gains,
+/// so [`gemm_parallel`] runs the serial kernel. Measured by the
+/// forked-vs-serial sweep in `bench_quick` (`BENCH_PR14.json`): on a
+/// 2-core AVX-512 host forking loses at 64³, is a coin toss at 80³, and
+/// wins in three paired samples of four from 96³, 128³ or 160³ up,
+/// depending on the run; the largest is shipped, so the fork pays in
+/// every run. Every served small shape (≤ 80³) stays serial.
+pub const MIN_PARALLEL_FLOPS: usize = 160 * 160 * 160;
+
+/// `C ← α op(A) op(B) + β C`, jc×ic loops processed in parallel once
+/// `m·k·n` reaches [`MIN_PARALLEL_FLOPS`] (serial below it).
 pub fn gemm_parallel<T: Scalar>(
+    cfg: &GemmConfig,
+    alpha: T,
+    op_a: Op,
+    a: MatRef<'_, T>,
+    op_b: Op,
+    b: MatRef<'_, T>,
+    beta: T,
+    c: MatMut<'_, T>,
+) {
+    let (m, k, n) = check_gemm_dims(op_a, &a, op_b, &b, &c);
+    if m.saturating_mul(k).saturating_mul(n) < MIN_PARALLEL_FLOPS {
+        return gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c);
+    }
+    gemm_parallel_always(cfg, alpha, op_a, a, op_b, b, beta, c)
+}
+
+/// [`gemm_parallel`] without the [`MIN_PARALLEL_FLOPS`] threshold: forks
+/// at any size whenever the pool has more than one worker. This is the
+/// measured arm of the threshold sweep; callers that want the shipped
+/// behavior use [`gemm_parallel`].
+pub fn gemm_parallel_always<T: Scalar>(
     cfg: &GemmConfig,
     alpha: T,
     op_a: Op,
@@ -72,7 +142,7 @@ pub fn gemm_parallel<T: Scalar>(
 ) {
     let (m, k, n) = check_gemm_dims(op_a, &a, op_b, &b, &c);
     let threads = pool::current_num_threads().max(1);
-    if threads == 1 || m.saturating_mul(k).saturating_mul(n) < MIN_PARALLEL_FLOPS {
+    if threads == 1 {
         return gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c);
     }
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
@@ -85,37 +155,22 @@ pub fn gemm_parallel<T: Scalar>(
 
     // Fill the machine column-groups-first (they share nothing), then
     // give leftover workers to the ic loop inside each group.
-    let col_quanta = balanced_quanta(n.div_ceil(NR), threads);
-    let jc_ways = col_quanta.len();
-    let ic_ways = (threads / jc_ways).min(m.div_ceil(MR)).max(1);
-    if jc_ways == 1 && ic_ways == 1 {
+    let cols = Balanced::new(n.div_ceil(NR), threads);
+    let ic_ways = (threads / cols.parts()).min(m.div_ceil(MR)).max(1);
+    if cols.parts() == 1 && ic_ways == 1 {
         return gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c);
     }
-
-    // Carve C into the balanced disjoint column-group views up front.
-    let mut groups: Vec<(usize, MatMut<'_, T>)> = Vec::with_capacity(jc_ways);
-    let mut rest = c;
-    let mut jc = 0;
-    for &quanta in &col_quanta {
-        let nw = (quanta * NR).min(n - jc);
-        let (head, tail) = rest.split_cols(nw);
-        groups.push((jc, head));
-        rest = tail;
-        jc += nw;
-    }
-
-    pool::scope(|scope| {
-        for (group, (jc0, cgroup)) in groups.into_iter().enumerate() {
-            let (a_ref, b_ref) = (&a, &b);
-            // Timeline tags (see pool::ring::tag) let the trace exporter
-            // distinguish the GEMM task roles; they never affect
-            // scheduling.
-            let tag = pool::ring::tag::gemm_task(0, group as u8);
-            scope.spawn_tagged(None, tag, move || {
-                column_group(alpha, beta, op_a, a_ref, op_b, b_ref, cgroup, jc0, m, k, mc, kc, nc, ic_ways);
-            });
-        }
-    });
+    let col0 = |g: usize| (cols.start(g) * NR).min(n);
+    fork(
+        0,
+        0,
+        cols.parts(),
+        c,
+        &|c: MatMut<'_, T>, lo, mid| c.split_cols(col0(mid) - col0(lo)),
+        &|g, cgroup| {
+            column_group(alpha, beta, op_a, &a, op_b, &b, cgroup, col0(g), m, k, mc, kc, nc, ic_ways)
+        },
+    );
 }
 
 /// One jc task: the pc/ic loops over a private column group
@@ -212,7 +267,9 @@ fn panel_nested<T: Scalar>(
 ) {
     let nb = cpanel.ncols();
     let bpanels = nb.div_ceil(NR);
-    let row_quanta = balanced_quanta(m.div_ceil(MR), ic_ways);
+    let packers = Balanced::new(bpanels, ic_ways);
+    let rows = Balanced::new(m.div_ceil(MR), ic_ways);
+    let row0 = |g: usize| (rows.start(g) * MR).min(m);
     let (_, b_len) = panel_lens(mc, kc, nb);
     with_pack_slab::<T, _>(b_len, |slab| {
         for pc in (0..k).step_by(kc) {
@@ -221,52 +278,43 @@ fn panel_nested<T: Scalar>(
 
             // Phase 1: cooperative B pack. The packed-B layout is
             // panel-major (panel q at q·NR·kb), so a panel range is a
-            // contiguous slab chunk handed to its packer via
-            // split_at_mut.
-            let pack_ranges = balanced_quanta(bpanels, ic_ways);
-            pool::scope(|s| {
-                let mut rest: &mut [T] = &mut slab[..bpanels * NR * kb];
-                let mut q0 = 0;
-                for &panels in &pack_ranges {
-                    let (chunk, tail) = rest.split_at_mut(panels * NR * kb);
-                    rest = tail;
-                    let cols = (panels * NR).min(nb - q0 * NR);
-                    let jc_range = jc + q0 * NR;
-                    let tag = pool::ring::tag::gemm_task(1, q0 as u8);
-                    s.spawn_tagged(None, tag, move || pack_b(op_b, b, pc, jc_range, kb, cols, chunk));
-                    q0 += panels;
-                }
-            });
+            // contiguous slab chunk.
+            fork(
+                1,
+                0,
+                packers.parts(),
+                &mut slab[..bpanels * NR * kb],
+                &|chunk: &mut [T], lo, mid| {
+                    chunk.split_at_mut((packers.start(mid) - packers.start(lo)) * NR * kb)
+                },
+                &|g, chunk| {
+                    let q0 = packers.start(g);
+                    let cols = ((packers.start(g + 1) - q0) * NR).min(nb - q0 * NR);
+                    pack_b(op_b, b, pc, jc + q0 * NR, kb, cols, chunk);
+                },
+            );
 
             // Phase 2: parallel ic row blocks against the shared packed
-            // B. Row views are rebuilt per pc step (they are moved into
-            // the tasks), always along the same MR-quantized boundaries.
+            // B, always along the same MR-quantized boundaries.
             let packed_b: &[T] = &slab[..bpanels * NR * kb];
-            pool::scope(|s| {
-                let mut rest = cpanel.rb_mut();
-                let mut r0 = 0;
-                for (block, &quanta) in row_quanta.iter().enumerate() {
-                    let rows = (quanta * MR).min(m - r0);
-                    let (crows, tail) = rest.split_rows(rows);
-                    rest = tail;
-                    let row0 = r0;
-                    let tag = pool::ring::tag::gemm_task(2, block as u8);
-                    s.spawn_tagged(None, tag, move || {
-                        let mut crows = crows;
-                        let a_len = mc.div_ceil(MR) * MR * kc;
-                        with_pack_slab::<T, _>(a_len, |packed_a| {
-                            for icc in (0..rows).step_by(mc) {
-                                let mb = mc.min(rows - icc);
-                                pack_a(op_a, a, row0 + icc, pc, mb, kb, packed_a);
-                                macrokernel(
-                                    alpha, beta_eff, mb, kb, nb, packed_a, packed_b, &mut crows, icc, 0,
-                                );
-                            }
-                        });
+            fork(
+                2,
+                0,
+                rows.parts(),
+                cpanel.rb_mut(),
+                &|crows: MatMut<'_, T>, lo, mid| crows.split_rows(row0(mid) - row0(lo)),
+                &|g, mut crows| {
+                    let (r0, nrows) = (row0(g), crows.nrows());
+                    let a_len = mc.div_ceil(MR) * MR * kc;
+                    with_pack_slab::<T, _>(a_len, |packed_a| {
+                        for icc in (0..nrows).step_by(mc) {
+                            let mb = mc.min(nrows - icc);
+                            pack_a(op_a, a, r0 + icc, pc, mb, kb, packed_a);
+                            macrokernel(alpha, beta_eff, mb, kb, nb, packed_a, packed_b, &mut crows, icc, 0);
+                        }
                     });
-                    r0 += rows;
-                }
-            });
+                },
+            );
         }
     });
 }
@@ -280,11 +328,18 @@ mod tests {
         let _ = pool::set_num_threads(4);
     }
 
+    /// Partition sizes of a split, from its computed bounds.
+    fn sizes(split: Balanced) -> Vec<usize> {
+        (0..split.parts()).map(|g| split.start(g + 1) - split.start(g)).collect()
+    }
+
     #[test]
     fn balanced_quanta_never_empty_and_off_by_at_most_one() {
         for quanta in 1..40 {
             for ways in 1..10 {
-                let parts = balanced_quanta(quanta, ways);
+                let split = Balanced::new(quanta, ways);
+                let parts = sizes(split);
+                assert_eq!(split.start(0), 0);
                 assert_eq!(parts.iter().sum::<usize>(), quanta, "q={quanta} w={ways}");
                 assert!(parts.len() <= ways);
                 assert!(parts.iter().all(|&p| p >= 1), "q={quanta} w={ways}: {parts:?}");
@@ -292,7 +347,7 @@ mod tests {
                 assert!(max - min <= 1, "q={quanta} w={ways}: {parts:?}");
             }
         }
-        assert!(balanced_quanta(0, 4).is_empty());
+        assert_eq!(Balanced::new(0, 4).parts(), 0);
     }
 
     #[test]
@@ -367,9 +422,9 @@ mod tests {
         // path actually runs.
         let threads = pool::current_num_threads();
         let n = NR * threads + 1;
-        let (m, k) = (128usize, 160usize);
+        let (m, k) = (768usize, 800usize);
         assert!(m * k * n >= MIN_PARALLEL_FLOPS);
-        let quanta = balanced_quanta(n.div_ceil(NR), threads);
+        let quanta = sizes(Balanced::new(n.div_ceil(NR), threads));
         assert!(quanta.iter().all(|&q| q >= 1));
         let a = random::uniform::<f64>(m, k, 31);
         let b = random::uniform::<f64>(k, n, 32);

@@ -184,7 +184,8 @@ pub struct StrassenConfig {
     /// Run the last recursion level (the one whose seven products are all
     /// leaf GEMMs) through the fused add-pack / multi-destination
     /// write-back kernels instead of the temp-based schedules. Requires
-    /// the blocked serial GEMM kernel; other kernels ignore the flag.
+    /// a blocked GEMM kernel (serial or pool-parallel); the naive kernel
+    /// ignores the flag.
     pub fused: bool,
     /// How many recursion levels the fused path may flatten at once
     /// (1 or 2). Two levels compose the 1969 schedule with itself — 49
@@ -211,6 +212,16 @@ impl StrassenConfig {
     /// 2048 runs as one conventional GEMM, and a square n = 4096 product
     /// recurses once. Remeasure on other machines with
     /// [`crate::tuning`].
+    ///
+    /// The GEMMs use the whole pool: [`GemmConfig::auto_parallel`] splits
+    /// the jc (and, for narrow `n`, ic) loop of every leaf GEMM and of
+    /// the fused level across the pool workers through an
+    /// allocation-free [`pool::join`], once a product reaches
+    /// [`blas::level3::MIN_PARALLEL_FLOPS`] (smaller products — every
+    /// served shape — stay serial). The results are bitwise those of the
+    /// serial [`GemmConfig::auto`], at any worker count, and a warm call
+    /// allocates nothing. Size the pool with [`pool::set_num_threads`] or
+    /// `STRASSEN_THREADS` before first use.
     pub fn dgefmm() -> Self {
         Self {
             variant: Variant::Winograd,
@@ -220,8 +231,9 @@ impl StrassenConfig {
             cutoff: CutoffCriterion::Hybrid { tau: 2048, tau_m: 2048, tau_k: 2048, tau_n: 2048 },
             cutoff_general: None,
             // Machine-derived (mc, kc, nc): sysfs cache probe with sane
-            // fallbacks, resolved once per process.
-            gemm: GemmConfig::auto(),
+            // fallbacks, resolved once per process; loops split across
+            // the pool above the measured threshold.
+            gemm: GemmConfig::auto_parallel(),
             parallel_depth: 0,
             scheduler: Scheduler::TaskDag,
             parallel_width: usize::MAX,
@@ -231,12 +243,12 @@ impl StrassenConfig {
         }
     }
 
-    /// The tuned default reshaped for full-machine execution: the
-    /// seven-temporary parallel schedule, task-DAG scheduling over the
+    /// The tuned default reshaped for task-parallel recursion: the
+    /// seven-temporary parallel schedule and task-DAG scheduling over the
     /// top two recursion levels (49 leaf products — enough independent
-    /// tasks for any core count this code targets), and parallel leaf
-    /// GEMMs so the nested jc×ic loop parallelism can soak up workers
-    /// the Strassen level leaves idle.
+    /// tasks for any core count this code targets), over the same
+    /// pool-parallel GEMM the default ships, whose nested jc×ic loops
+    /// soak up workers the Strassen level leaves idle.
     ///
     /// Pool sizing is orthogonal: call [`pool::set_num_threads`] (or set
     /// `STRASSEN_THREADS`) before first use; the default is the probed

@@ -29,8 +29,11 @@ pub(crate) enum FusedSpan {
 /// bottom out in conventional GEMMs anyway (their operands are at or
 /// below the cutoff for *both* β classes, since the fused products are
 /// plain GEMMs rather than `fmm` re-entries), the dimensions are already
-/// even, and the serial blocked kernel — the one the fused driver is
-/// built on — is selected. `Two` when the children would recurse exactly
+/// even, and a blocked kernel — the one the fused driver is built on —
+/// is selected. The serial and the pool-parallel blocked kernels count
+/// alike: the fused driver splits its column loop across the pool for
+/// the latter with bitwise-identical results, so the plan, the workspace
+/// and the result do not depend on how many cores a kernel uses. `Two` when the children would recurse exactly
 /// once more (again for both β classes, and with dimensions divisible by
 /// 4 so no peel/pad intervenes): the 49 grandchild products then run as
 /// one flat two-level schedule, eliminating the outer level's temp
@@ -41,7 +44,8 @@ pub(crate) enum FusedSpan {
 /// parallel region simply runs inside its product task). Workspace sizing
 /// asks the same question: a fused node draws no arena space.
 pub(crate) fn fused_span(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> FusedSpan {
-    if !cfg.fused || cfg.gemm.algo != GemmAlgo::Blocked || cfg.family != Family::F222 {
+    let blocked = matches!(cfg.gemm.algo, GemmAlgo::Blocked | GemmAlgo::BlockedParallel);
+    if !cfg.fused || !blocked || cfg.family != Family::F222 {
         return FusedSpan::No;
     }
     if m % 2 != 0 || k % 2 != 0 || n % 2 != 0 || m == 0 || k == 0 || n == 0 {

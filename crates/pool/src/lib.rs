@@ -21,11 +21,17 @@
 //!   from the front of a victim's (FIFO, oldest first), so a hint is a
 //!   preference, never a constraint: hinted work is still stolen when
 //!   its preferred worker is busy.
-//! - The thread that opens a [`scope`] *helps*: while waiting for its
-//!   spawned tasks it executes queued tasks itself. This keeps a
-//!   single-threaded pool deadlock-free under nested scopes (DAG product
-//!   nodes recurse into deeper DAGs) and means the caller is never idle
-//!   while work is queued.
+//! - The thread that opens a [`scope`] or [`join`] *helps*: while
+//!   waiting for its tasks it executes queued tasks itself. This keeps a
+//!   single-threaded pool deadlock-free under nested scopes and joins
+//!   (DAG product nodes recurse into deeper DAGs, GEMM column groups
+//!   split recursively) and means the caller is never idle while work is
+//!   queued.
+//! - A queued entry is a `JobRef`: a data pointer plus the function
+//!   that runs it. [`Scope::spawn`] boxes its closure; [`join`] stores
+//!   its second closure in the joining thread's own stack frame (as
+//!   rayon's `StackJob` does), so a warm `join` allocates nothing — the
+//!   property the default DGEFMM path's zero-allocation test relies on.
 //! - Thread count is config-driven: [`set_num_threads`] before first
 //!   use, else the `STRASSEN_THREADS` environment variable (legacy alias
 //!   `STRASSEN_NUM_THREADS`), else [`machine_threads`] — the number of
@@ -54,22 +60,67 @@ pub mod dag;
 pub mod ring;
 
 use std::any::Any;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-/// A queued, type-erased task. The `'static` here is a lie told by
-/// [`Scope::spawn`]'s transmute; it is sound because [`scope`] never
+/// A boxed, type-erased task body (DAG node bodies). The `'static` here
+/// is a lie told by a transmute; it is sound because [`scope`] never
 /// returns until every task it spawned has completed.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A queued task: a type-erased pointer to the job's data and the
+/// function that runs it. Boxed jobs ([`Scope::spawn`]) point at a heap
+/// closure that `execute` consumes; stack jobs ([`join`]) point into the
+/// joining thread's frame, which stays alive until the job's latch is
+/// set. `execute` never unwinds: both kinds catch panics themselves.
+#[derive(Clone, Copy)]
+struct JobRef {
+    data: *const (),
+    execute: unsafe fn(*const ()),
+}
+
+// SAFETY: a `JobRef` is only built from `Send` closures (`Scope::spawn`
+// and `join` both require it), and the pointee outlives the job: a boxed
+// job owns its closure, a stack job's frame waits for its latch.
+unsafe impl Send for JobRef {}
+
+impl JobRef {
+    /// Box `f` and erase it. The closure's lifetime is erased too; the
+    /// caller must keep its borrows alive until the job has run (the
+    /// [`scope`] contract).
+    fn boxed<F: FnOnce() + Send>(f: F) -> JobRef {
+        unsafe fn call<F: FnOnce()>(data: *const ()) {
+            // SAFETY: `data` came from `Box::into_raw` below and each
+            // `JobRef` runs exactly once.
+            let f = unsafe { Box::from_raw(data as *mut F) };
+            f()
+        }
+        JobRef { data: Box::into_raw(Box::new(f)) as *const (), execute: call::<F> }
+    }
+
+    /// Run the job.
+    ///
+    /// # Safety
+    /// Each `JobRef` must be run exactly once.
+    unsafe fn run(self) {
+        unsafe { (self.execute)(self.data) }
+    }
+}
+
+/// Initial capacity of each worker deque, so steady-state pushes never
+/// reallocate (a recursive `join` keeps only O(log groups) entries
+/// queued per caller).
+const DEQUE_CAPACITY: usize = 256;
+
 struct Shared {
-    /// One deque per worker; `Scope::spawn` pushes round-robin,
+    /// One deque per worker; `Scope::spawn` and `join` push round-robin,
     /// `Scope::spawn_at` pushes to the hinted worker's deque.
-    deques: Vec<Mutex<VecDeque<Job>>>,
+    deques: Vec<Mutex<VecDeque<JobRef>>>,
     /// Tasks executed per worker, for observability and tests.
     executed: Vec<AtomicU64>,
     /// Nanoseconds each worker spent *running* jobs (not waiting).
@@ -80,7 +131,7 @@ struct Shared {
     steals: Vec<AtomicU64>,
     /// Times each worker went to sleep on the wake condvar.
     parks: Vec<AtomicU64>,
-    /// Jobs popped by helping non-worker threads (scope owners).
+    /// Jobs popped by helping non-worker threads (scope and join owners).
     helper_pops: AtomicU64,
     /// Wake notifications issued by `push` (one per queued job).
     wake_notifies: AtomicU64,
@@ -88,22 +139,26 @@ struct Shared {
     queued: AtomicUsize,
     /// Round-robin push cursor.
     next: AtomicUsize,
-    /// Sleep/wake plumbing for idle workers.
+    /// Sleep/wake plumbing for idle workers and for [`scope`] and
+    /// [`join`] owners whose tasks are held by other threads.
     sleep: Mutex<()>,
     wake: Condvar,
+    /// Scope and join owners asleep on `wake`; completions notify only
+    /// while one is.
+    join_sleepers: AtomicUsize,
     /// Timeline event rings: one per worker plus
     /// [`ring::EXTERNAL_LANES`] lanes for helping/spawning threads.
     rings: Vec<ring::Ring>,
 }
 
 impl Shared {
-    fn push(&self, job: Job) {
+    fn push(&self, job: JobRef) {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         self.push_at(i, job);
     }
 
     /// Queue `job` on deque `i % nworkers` and wake sleepers.
-    fn push_at(&self, i: usize, job: Job) {
+    fn push_at(&self, i: usize, job: JobRef) {
         let i = i % self.deques.len();
         self.queued.fetch_add(1, Ordering::Release);
         self.deques[i].lock().unwrap().push_back(job);
@@ -118,7 +173,7 @@ impl Shared {
     /// successful pop is attributed to exactly one of the `own_pops` /
     /// `steals` / `helper_pops` counters, which is what makes the
     /// `own_pops + steals == executed` telemetry invariant hold.
-    fn pop(&self, me: usize) -> Option<Job> {
+    fn pop(&self, me: usize) -> Option<JobRef> {
         if self.queued.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -151,6 +206,54 @@ impl Shared {
         }
         None
     }
+
+    /// Run one queued job on the calling thread, if any. A pool worker
+    /// waiting inside a job (a nested scope or join) pops as itself and
+    /// counts the job as its own; any other thread pops as a helper.
+    fn help(&self) -> bool {
+        let me = WORKER.with(Cell::get);
+        let Some(job) = self.pop(me) else { return false };
+        if me < self.executed.len() {
+            self.executed[me].fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: a popped job has left the queue, so it runs once.
+        unsafe { job.run() };
+        true
+    }
+
+    /// Help with queued work until `done()` holds. Sleeps only while
+    /// the queues are empty, so every job it waits for is held by a
+    /// running thread; a push or [`Shared::wake_joiners`] after the
+    /// condition became true wakes it. `done` must read its state with
+    /// `SeqCst`.
+    fn wait_until(&self, done: impl Fn() -> bool) {
+        while !done() {
+            if self.help() {
+                continue;
+            }
+            let guard = self.sleep.lock().unwrap();
+            self.join_sleepers.fetch_add(1, Ordering::SeqCst);
+            // SeqCst pairs with `wake_joiners`: either the setter sees
+            // this sleeper, or `done` sees the setter's store. `queued`
+            // is checked under the lock `push` notifies under, as in the
+            // worker loop.
+            if !done() && self.queued.load(Ordering::Acquire) == 0 {
+                // Timeout bounds the cost of any lost wakeup race.
+                let _ = self.wake.wait_timeout(guard, Duration::from_millis(50));
+            }
+            self.join_sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Wake sleeping waiters after a stack-job latch was set or a scope's
+    /// last task finished (both SeqCst). Touches only pool state, never
+    /// the finished job's frame.
+    fn wake_joiners(&self) {
+        if self.join_sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = self.sleep.lock().unwrap();
+            self.wake.notify_all();
+        }
+    }
 }
 
 struct Pool {
@@ -161,7 +264,7 @@ struct Pool {
 impl Pool {
     fn start(nthreads: usize) -> Pool {
         let shared = Arc::new(Shared {
-            deques: (0..nthreads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            deques: (0..nthreads).map(|_| Mutex::new(VecDeque::with_capacity(DEQUE_CAPACITY))).collect(),
             executed: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
             busy_ns: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
             own_pops: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
@@ -173,6 +276,7 @@ impl Pool {
             next: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             wake: Condvar::new(),
+            join_sleepers: AtomicUsize::new(0),
             rings: {
                 let cap = ring::ring_capacity();
                 (0..nthreads + ring::EXTERNAL_LANES).map(|_| ring::Ring::new(cap)).collect()
@@ -189,17 +293,24 @@ impl Pool {
     }
 }
 
+thread_local! {
+    /// This thread's worker index, `usize::MAX` off the pool.
+    static WORKER: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
 fn worker_loop(shared: Arc<Shared>, me: usize) {
     ring::set_worker_lane(me);
+    WORKER.with(|w| w.set(me));
     loop {
         match shared.pop(me) {
             Some(job) => {
                 shared.executed[me].fetch_add(1, Ordering::Relaxed);
-                // The job wrapper (built in `Scope::spawn`) already
-                // catches user panics; a panic reaching here would be a
-                // pool bug, and even then the worker must survive.
+                // Boxed and stack jobs both catch user panics; a panic
+                // reaching here would be a pool bug, and even then the
+                // worker must survive.
                 let start = std::time::Instant::now();
-                let _ = catch_unwind(AssertUnwindSafe(job));
+                // SAFETY: popped jobs run exactly once.
+                let _ = catch_unwind(AssertUnwindSafe(|| unsafe { job.run() }));
                 shared.busy_ns[me].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
             None => {
@@ -388,9 +499,11 @@ pub fn pin_once(n: usize) -> usize {
 
 /// Tasks executed so far by each worker, indexed by worker id.
 ///
-/// Tasks run inline by a *helping* scope owner are not counted here —
-/// these counters answer "which pool workers participated?", which is
-/// what the parallel-dispatch smoke tests assert.
+/// Tasks run inline by a *helping* non-worker thread (a scope or join
+/// owner off the pool) are not counted here; a worker that helps while
+/// waiting inside a job counts what it runs. These counters answer
+/// "which pool workers participated?", which is what the
+/// parallel-dispatch smoke tests assert.
 pub fn worker_job_counts() -> Vec<u64> {
     global().shared.executed.iter().map(|c| c.load(Ordering::Relaxed)).collect()
 }
@@ -403,7 +516,8 @@ pub fn worker_job_counts() -> Vec<u64> {
 /// exactly one pop, giving the invariant `own_pops + steals == jobs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Jobs this worker executed.
+    /// Jobs this worker executed, including those it ran while waiting
+    /// inside another job (a nested scope or join).
     pub jobs: u64,
     /// Jobs popped from the worker's own deque (LIFO, cache-warm).
     pub own_pops: u64,
@@ -424,9 +538,10 @@ pub struct WorkerStats {
 pub struct PoolStats {
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<WorkerStats>,
-    /// Jobs executed inline by *helping* scope owners (threads waiting in
-    /// [`scope`] that picked up queued work instead of blocking). These
-    /// jobs appear in no worker's counters.
+    /// Jobs executed inline by *helping* non-worker threads (scope and
+    /// join owners off the pool, waiting in [`scope`] or [`join`], that
+    /// picked up queued work instead of blocking). These jobs appear in
+    /// no worker's counters.
     pub helper_pops: u64,
     /// Wake notifications issued by spawns (one per queued job).
     pub wake_notifies: u64,
@@ -513,19 +628,14 @@ pub fn pool_stats() -> PoolStats {
 struct ScopeState {
     /// Spawned-but-unfinished task count for this scope.
     pending: AtomicUsize,
-    lock: Mutex<()>,
-    done: Condvar,
     /// First panic payload from any task in this scope.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
 
 impl ScopeState {
     fn complete_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last task: take the lock so the notification cannot race
-            // past a waiter that has checked `pending` but not yet slept.
-            let _guard = self.lock.lock().unwrap();
-            self.done.notify_all();
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            global().shared.wake_joiners();
         }
     }
 }
@@ -581,7 +691,12 @@ impl<'scope> Scope<'scope> {
     {
         self.state.pending.fetch_add(1, Ordering::AcqRel);
         let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+        // The closure's `'scope` borrows are erased by `JobRef::boxed`;
+        // this is sound because `scope` blocks (see `wait_all`) until
+        // `pending` reaches zero, i.e. until this closure has run and
+        // dropped — the same argument as `std::thread::scope`, enforced
+        // dynamically by the counter.
+        let job = JobRef::boxed(move || {
             // Latch the recording gate once so Start/Finish always pair,
             // even when recording toggles mid-job.
             let rec = ring::is_recording();
@@ -599,13 +714,6 @@ impl<'scope> Scope<'scope> {
             }
             state.complete_one();
         });
-        // SAFETY: the job is a fat Box<dyn FnOnce> either way; only the
-        // lifetime is erased. `scope` blocks (see `wait_all`) until
-        // `pending` reaches zero, i.e. until this closure has run and
-        // dropped, so no `'scope` borrow is used after the stack frame
-        // it points into is gone — the same argument as
-        // `std::thread::scope`, enforced dynamically by the counter.
-        let job: Job = unsafe { std::mem::transmute(job) };
         ring::record(ring::EventKind::Spawn, tag, 0);
         match hint {
             Some(i) => global().shared.push_at(i, job),
@@ -623,21 +731,7 @@ impl<'scope> Scope<'scope> {
     /// Wait for every task in this scope, helping with queued work
     /// (from any scope) instead of blocking while tasks are available.
     fn wait_all(&self) {
-        let shared = &global().shared;
-        while self.state.pending.load(Ordering::Acquire) > 0 {
-            if let Some(job) = shared.pop(usize::MAX) {
-                job();
-                continue;
-            }
-            let guard = self.state.lock.lock().unwrap();
-            if self.state.pending.load(Ordering::Acquire) > 0 {
-                // All of this scope's tasks are held by workers (they
-                // were queued before wait_all began, and the queue is
-                // empty), so the last completion's notify — taken under
-                // this same lock — is guaranteed to reach us.
-                drop(self.state.done.wait(guard).unwrap());
-            }
-        }
+        global().shared.wait_until(|| self.state.pending.load(Ordering::SeqCst) == 0);
     }
 }
 
@@ -668,12 +762,7 @@ where
     F: FnOnce(&Scope<'scope>) -> R,
 {
     let s = Scope {
-        state: Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        }),
+        state: Arc::new(ScopeState { pending: AtomicUsize::new(0), panic: Mutex::new(None) }),
         _marker: PhantomData,
     };
     let result = catch_unwind(AssertUnwindSafe(|| f(&s)));
@@ -690,20 +779,112 @@ where
     }
 }
 
+/// A [`join`] closure queued for the pool, stored in the joining
+/// thread's stack frame. Whoever runs it (a worker, a helping thread, or
+/// the joiner itself) writes the result and then sets `done` as its
+/// **last** access to the frame, so the joiner may return — and the
+/// frame die — as soon as it observes the latch.
+struct StackJob<F, R> {
+    func: UnsafeCell<Option<F>>,
+    result: UnsafeCell<Option<std::thread::Result<R>>>,
+    tag: u64,
+    done: AtomicBool,
+}
+
+impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
+    fn new(func: F, tag: u64) -> Self {
+        StackJob {
+            func: UnsafeCell::new(Some(func)),
+            result: UnsafeCell::new(None),
+            tag,
+            done: AtomicBool::new(false),
+        }
+    }
+
+    /// Queue this job (recording its spawn).
+    fn push(&self, shared: &Shared) {
+        ring::record(ring::EventKind::Spawn, self.tag, 0);
+        shared.push(self.job_ref());
+    }
+
+    /// The job's outcome; only after its latch was observed set.
+    fn into_result(self) -> std::thread::Result<R> {
+        self.result.into_inner().expect("stack job result is set before its latch")
+    }
+
+    fn job_ref(&self) -> JobRef {
+        JobRef { data: self as *const Self as *const (), execute: Self::execute }
+    }
+
+    /// # Safety
+    /// `data` points at a live `StackJob<F, R>` whose `done` is unset,
+    /// and this is the only execution of it.
+    unsafe fn execute(data: *const ()) {
+        let this = unsafe { &*(data as *const Self) };
+        // SAFETY: the joiner touches `func` and `result` only after
+        // `done` is set, which happens below.
+        let f = unsafe { (*this.func.get()).take() }.expect("stack job runs once");
+        let rec = ring::is_recording();
+        if rec {
+            ring::record(ring::EventKind::Start, this.tag, 0);
+        }
+        let result = catch_unwind(AssertUnwindSafe(f));
+        if rec {
+            ring::record(ring::EventKind::Finish, this.tag, 0);
+        }
+        unsafe { *this.result.get() = Some(result) };
+        let shared = &global().shared;
+        this.done.store(true, Ordering::SeqCst);
+        // `this` may be gone from here on.
+        shared.wake_joiners();
+    }
+}
+
 /// Run two closures, potentially in parallel, returning both results.
-/// `b` is queued on the pool while `a` runs on the calling thread.
+/// `b` is queued on the pool while `a` runs on the calling thread, which
+/// then helps with queued work (possibly `b` itself) until `b` has
+/// finished.
+///
+/// `b` lives in this call's stack frame rather than on the heap, so once
+/// the pool's deques are warm a `join` performs no allocation. If either
+/// closure panics, the panic is re-thrown here only after both have
+/// finished (`a`'s first when both panic).
+///
+/// ```
+/// let v: Vec<u64> = (1..=100).collect();
+/// let (lo, hi) = v.split_at(50);
+/// let (a, b) = pool::join(|| lo.iter().sum::<u64>(), || hi.iter().sum::<u64>());
+/// assert_eq!(a + b, 5050);
+/// ```
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA,
     B: FnOnce() -> RB + Send,
     RB: Send,
 {
-    let mut rb = None;
-    let ra = scope(|s| {
-        s.spawn(|| rb = Some(b()));
-        a()
-    });
-    (ra, rb.expect("join: second closure did not run"))
+    join_tagged(0, a, b)
+}
+
+/// [`join`] with a timeline tag on the queued closure: when event
+/// recording is on ([`ring::start_recording`]) its spawn/start/finish
+/// ring events carry `tag`, as for [`Scope::spawn_tagged`]. The tag
+/// never affects scheduling or execution.
+pub fn join_tagged<A, B, RA, RB>(tag: u64, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    let shared = &global().shared;
+    let job = StackJob::new(b, tag);
+    job.push(shared);
+    let ra = catch_unwind(AssertUnwindSafe(a));
+    // Never return (or unwind) before `b` has finished with this frame.
+    shared.wait_until(|| job.done.load(Ordering::SeqCst));
+    match (ra, job.into_result()) {
+        (Err(payload), _) | (Ok(_), Err(payload)) => resume_unwind(payload),
+        (Ok(ra), Ok(rb)) => (ra, rb),
+    }
 }
 
 #[cfg(test)]

@@ -118,8 +118,12 @@ impl MachineProfile {
 
 /// The tuned plan for one bucket: the eq.-(15) cutoff parameters plus
 /// how many recursion levels fan out as parallel tasks *within* one
-/// request (0 = serial — the serving default, where parallelism comes
-/// from running many requests concurrently instead).
+/// request (0 = no task-parallel recursion — the serving default, where
+/// parallelism comes from running many requests concurrently instead).
+/// Every entry runs the default's pool-parallel GEMM, which forks only
+/// at or above the measured `blas::level3::MIN_PARALLEL_FLOPS` (160³):
+/// small requests (the benchmark's served shapes are all ≤ 80³) stay
+/// serial within their request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketTuning {
     /// Square cutoff `τ`.
@@ -130,13 +134,15 @@ pub struct BucketTuning {
     pub tau_k: usize,
     /// Rectangular parameter `τn`.
     pub tau_n: usize,
-    /// Intra-request parallel recursion levels (0 = serial request).
+    /// Intra-request parallel recursion levels (0 = none; the GEMMs still
+    /// fork above the measured threshold).
     pub parallel_depth: usize,
 }
 
 impl BucketTuning {
-    /// The shipped cutoff of [`StrassenConfig::dgefmm`], serial per
-    /// request.
+    /// The shipped cutoff of [`StrassenConfig::dgefmm`], with no
+    /// task-parallel recursion: a request forks only inside GEMMs above
+    /// the measured fork threshold.
     pub fn paper_default() -> BucketTuning {
         let CutoffCriterion::Hybrid { tau, tau_m, tau_k, tau_n } = StrassenConfig::dgefmm().cutoff else {
             unreachable!("StrassenConfig::dgefmm ships the eq.-(15) hybrid criterion")

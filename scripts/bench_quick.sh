@@ -3,27 +3,30 @@
 # crossover sweep behind it, and the serial-vs-parallel headline.
 #
 # Pins the pool's worker count up front (STRASSEN_THREADS override,
-# else one worker per detected physical core), measures the eq.-(15)
-# parameters (τ, τm, τk, τn) with the §3.4 crossover sweep at
-# n = 128 … 2048, then times the BLIS-style 5-loop `gemm_blocked`, the
-# shipped default `StrassenConfig::dgefmm()`, serial DGEFMM under the
-# swept parameters, and its parallel twin (task-DAG scheduler +
-# pool-parallel leaf GEMM) round-robin at n ∈ {256, 512, 1024, 2048,
-# 4096}, measures the serial-vs-parallel headline with pool utilization
-# telemetry, and writes BENCH_PR12.json at the repo root with the
-# machine profile and the full sweep embedded. Gates: the shipped
-# default ≥ 0.98× GEMM at every size, parallel ≥ 2.5× serial at the
+# else one worker per detected physical core), measures where forking
+# the GEMM's column loop pays (forked vs serial 5-loop GEMM at
+# n = 64 … 384, the crossover behind MIN_PARALLEL_FLOPS), measures the
+# eq.-(15) parameters (τ, τm, τk, τn) with the §3.4 crossover sweep at
+# n = 128 … 2048 against the pool-parallel GEMM the default ships, then
+# times that GEMM, the shipped default `StrassenConfig::dgefmm()`, serial
+# DGEFMM under the swept parameters, and its parallel twin (task-DAG
+# scheduler + pool-parallel leaf GEMM) round-robin at n ∈ {256, 512,
+# 1024, 2048, 4096}, measures the serial-vs-parallel headline with pool
+# utilization telemetry, and writes BENCH_PR14.json at the repo root
+# with the machine profile and both sweeps embedded. Gates: the shipped
+# default ≥ 0.98× the same-kernel GEMM at every size, parallel ≥ 2.5× serial at the
 # largest size (enforced at ≥ 4 physical cores), pool utilization ≥ 80%
 # (enforced at ≥ 2 physical cores with workers ≤ cores; recorded and
 # loudly waived elsewhere), and the probe A/B ratios at n = 512 stay
 # under their noise-allowed ceilings (noop ≤ 10%, timed ≤ 15%). Scale
 # with BENCH_SAMPLES / BENCH_WARMUP_MS / BENCH_MEASURE_MS;
 # BENCH_NO_GUARD=1 demotes gate failures to warnings on noisy hosts;
-# BENCH_SMOKE=1 runs the fast functional pass (small sizes, no sweep,
-# gates recorded but not enforced, BENCH_PR12.smoke.json) CI uses.
+# BENCH_SMOKE=1 runs the fast functional pass (small sizes, a short fork
+# sweep, no Strassen sweep, gates recorded but not enforced,
+# BENCH_PR14.smoke.json) CI uses.
 #
 # The run ends with a bench-trajectory diff against the previous
-# artifact for the same mode (BENCH_PR12[.smoke].json, else the PR-7
+# artifact for the same mode (BENCH_PR14[.smoke].json, else the PR-12
 # one): per-shape GFLOP/s ratios, per-bench geometric means, and a
 # regression gate at BENCH_DIFF_THRESHOLD percent (default 10;
 # BENCH_NO_GUARD=1 waives the gate but still prints the full report).
@@ -49,11 +52,11 @@ echo "oracle audit: accuracy crate absent from all hot-path dependency graphs"
 
 # Snapshot the previous trajectory point (if any) before the run
 # overwrites it, so the differ below compares old vs new.
-out="BENCH_PR12.json"
-previous="BENCH_PR7.json"
+out="BENCH_PR14.json"
+previous="BENCH_PR12.json"
 if [ "${BENCH_SMOKE:-0}" != "0" ]; then
-    out="BENCH_PR12.smoke.json"
-    previous="BENCH_PR7.smoke.json"
+    out="BENCH_PR14.smoke.json"
+    previous="BENCH_PR12.smoke.json"
 fi
 [ -f "$out" ] && previous="$out"
 baseline=""

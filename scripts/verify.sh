@@ -85,25 +85,27 @@ echo "== 12/18 bench smoke (fast functional pass) =="
 # trajectory diff below (the file is committed, so it reflects the
 # last recorded run of this machine profile).
 mkdir -p target
-for prev in BENCH_PR12.smoke.json BENCH_PR7.smoke.json; do
+for prev in BENCH_PR14.smoke.json BENCH_PR12.smoke.json; do
     if [ -f "$prev" ]; then
         cp "$prev" target/bench_smoke_baseline.json
         break
     fi
 done
-# The whole bench pipeline — machine profile, round-robin timing of the
-# shipped default against GEMM, the serial-vs-parallel headline with
-# pool utilization, JSON emission — at smoke scale (no crossover sweep:
-# smoke reuses the shipped default). Guards are recorded but not
+# The whole bench pipeline — machine profile, the fork-threshold sweep,
+# round-robin timing of the shipped default against GEMM, the
+# serial-vs-parallel headline with pool utilization, JSON emission — at
+# smoke scale (no Strassen crossover sweep: smoke reuses the shipped
+# default). Guards are recorded but not
 # enforced in smoke mode; this step proves the pipeline runs and emits
 # valid artifacts, not performance.
 BENCH_SMOKE=1 BENCH_SAMPLES=3 BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=300 \
     cargo run --release --offline -p strassen-bench --bin bench_quick | tail -n 1
-grep -q '"pr": 12' BENCH_PR12.smoke.json
-grep -q '"dgefmm_default_vs_gemm":' BENCH_PR12.smoke.json
-grep -q '"utilization":' BENCH_PR12.smoke.json
-grep -q '"gates":' BENCH_PR12.smoke.json
-echo "bench smoke: BENCH_PR12.smoke.json written with default-vs-GEMM ratios and utilization telemetry"
+grep -q '"pr": 14' BENCH_PR14.smoke.json
+grep -q '"fork_threshold":' BENCH_PR14.smoke.json
+grep -q '"dgefmm_default_vs_gemm":' BENCH_PR14.smoke.json
+grep -q '"utilization":' BENCH_PR14.smoke.json
+grep -q '"gates":' BENCH_PR14.smoke.json
+echo "bench smoke: BENCH_PR14.smoke.json written with fork sweep, default-vs-GEMM ratios and utilization telemetry"
 
 echo "== 13/18 bench trajectory diff (baseline smoke vs fresh smoke) =="
 # The differ joins the two runs on (bench, n), reports per-shape
@@ -113,7 +115,7 @@ echo "== 13/18 bench trajectory diff (baseline smoke vs fresh smoke) =="
 # the full-scale gate lives in scripts/bench_quick.sh.
 if [ -f target/bench_smoke_baseline.json ]; then
     cargo run --release --offline --example bench_diff -- \
-        target/bench_smoke_baseline.json BENCH_PR12.smoke.json --threshold 10 --waive | tail -n 10
+        target/bench_smoke_baseline.json BENCH_PR14.smoke.json --threshold 10 --waive | tail -n 10
 else
     echo "no committed smoke baseline; skipping diff"
 fi

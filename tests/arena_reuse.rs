@@ -5,11 +5,16 @@
 //! cutoff stops at the root borrows no arena at all and is bitwise the
 //! conventional GEMM.
 //!
-//! Verified with a counting global allocator. The count is per thread,
-//! and every call here runs on the test's own thread (serial
-//! configurations), so concurrent tests cannot perturb each other.
+//! Verified with a counting global allocator. The count is per thread:
+//! every call here is made from the test's own thread, and what the
+//! default's pool-parallel GEMM forks to the pool workers runs on their
+//! threads, so neither concurrent tests nor workers perturb the count.
+//! Every test pins at least two pool workers (`pool::pin_once(2)`;
+//! `STRASSEN_THREADS` still wins), so the fork path runs even on a
+//! 1-core host.
 
 use blas::level3::gemm;
+use blas::GemmConfig;
 use blas::Op;
 use matrix::{random, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -62,6 +67,7 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn second_dgefmm_call_performs_zero_allocations() {
+    pool::pin_once(2);
     let n = 256;
     // A cutoff that recurses at n = 256 (two levels, the last fused) and
     // the shipped default (which runs this order as one GEMM).
@@ -91,12 +97,15 @@ fn second_dgefmm_call_performs_zero_allocations() {
 }
 
 /// A `dgefmm` call that the cutoff stops at the root is the conventional
-/// GEMM on the caller's `op(A)`/`op(B)`: bitwise equal to `blas::gemm`
-/// for every op pair and both β classes, with no arena and — once the
-/// pack buffers are warm — no allocation.
+/// GEMM on the caller's `op(A)`/`op(B)`: bitwise equal to the *serial*
+/// `blas::gemm` (the default forks its loops across the pool, which must
+/// not change a bit) for every op pair and both β classes, with no arena
+/// and — once the pack buffers are warm — no allocation.
 #[test]
 fn root_leaf_dgefmm_is_bitwise_gemm_without_arena_or_allocation() {
+    pool::pin_once(2);
     let cfg = StrassenConfig::dgefmm();
+    let serial = GemmConfig::auto();
     let shapes = [(1, 1, 1), (3, 2, 5), (97, 61, 33), (1024, 1024, 1024)];
     let ops = [Op::NoTrans, Op::Trans];
     // Operand of logical shape rows × cols, stored as op requires.
@@ -104,11 +113,13 @@ fn root_leaf_dgefmm_is_bitwise_gemm_without_arena_or_allocation() {
         Op::NoTrans => random::uniform::<f64>(rows, cols, seed),
         Op::Trans => random::uniform::<f64>(cols, rows, seed),
     };
-    // The largest shape warms the pack buffers to their high-water.
+    // The largest shape warms the pack buffers to their high-water, on
+    // this thread (serial) and through the default's fork path.
     let (m, k, n) = shapes[shapes.len() - 1];
     let (a, b) = (stored(Op::Trans, m, k, 1), stored(Op::Trans, k, n, 2));
     let mut c = Matrix::<f64>::zeros(m, n);
-    gemm(&cfg.gemm, 1.0, Op::Trans, a.as_ref(), Op::Trans, b.as_ref(), 0.0, c.as_mut());
+    gemm(&serial, 1.0, Op::Trans, a.as_ref(), Op::Trans, b.as_ref(), 0.0, c.as_mut());
+    dgefmm(&cfg, 1.0, Op::Trans, a.as_ref(), Op::Trans, b.as_ref(), 0.0, c.as_mut());
 
     for &(m, k, n) in &shapes {
         assert_eq!(planned_depth(&cfg, m, k, n), 0, "({m},{k},{n}) must not recurse");
@@ -119,7 +130,7 @@ fn root_leaf_dgefmm_is_bitwise_gemm_without_arena_or_allocation() {
                 let c0 = random::uniform::<f64>(m, n, 5);
                 for beta in [0.0, 0.5] {
                     let mut want = c0.clone();
-                    gemm(&cfg.gemm, 1.5, op_a, a.as_ref(), op_b, b.as_ref(), beta, want.as_mut());
+                    gemm(&serial, 1.5, op_a, a.as_ref(), op_b, b.as_ref(), beta, want.as_mut());
                     let mut got = c0.clone();
                     let allocs = allocations_during(|| {
                         dgefmm(&cfg, 1.5, op_a, a.as_ref(), op_b, b.as_ref(), beta, got.as_mut());

@@ -20,6 +20,7 @@
 
 use blas::Op;
 use matrix::{random, Matrix};
+use pool::ring;
 use std::sync::{Mutex, MutexGuard};
 use strassen::probe::timeline::{self, Structure};
 use strassen::{counts, dgefmm, CutoffCriterion, Scheduler, Scheme, StrassenConfig};
@@ -150,4 +151,37 @@ fn tracing_on_is_bitwise_identical_to_tracing_off() {
             testkit::max_ulp_diff_mat(plain.as_ref(), recorded.as_ref())
         );
     }
+}
+
+/// The shipped default forks its GEMM column groups through `pool::join`,
+/// and the queued groups stay named tasks: each records a spawn, a start
+/// and a finish under the parallel-GEMM tag namespace, and the Perfetto
+/// export names them `gemm:jc<i>`.
+#[test]
+fn default_gemm_column_groups_are_tagged_tasks() {
+    let _guard = serialized();
+    let workers = pool::pin_once(2);
+    if workers < 2 {
+        eprintln!("pool pinned to {workers} worker(s); the default GEMM does not fork");
+        return;
+    }
+    // Above the fork threshold (`blas::level3::MIN_PARALLEL_FLOPS`).
+    let n = 512;
+    let a = random::uniform::<f64>(n, n, 91);
+    let b = random::uniform::<f64>(n, n, 92);
+    let mut c = Matrix::<f64>::zeros(n, n);
+    let cfg = StrassenConfig::dgefmm();
+    let ((), tl) = timeline::record(|| {
+        dgefmm(&cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
+    });
+    let gemm_events = |kind: ring::EventKind| {
+        tl.all_events()
+            .filter(|e| e.kind == kind && ring::tag::namespace(e.tag) == ring::tag::NS_GEMM)
+            .count()
+    };
+    let spawned = gemm_events(ring::EventKind::Spawn);
+    assert!(spawned >= workers - 1, "{spawned} tagged GEMM tasks queued on {workers} workers");
+    assert_eq!(gemm_events(ring::EventKind::Start), spawned);
+    assert_eq!(gemm_events(ring::EventKind::Finish), spawned);
+    assert!(timeline::chrome_trace_json(&tl, None).contains("gemm:jc"), "export must name the GEMM tasks");
 }
